@@ -142,8 +142,11 @@ def design_matrix(basis: SplineBasis, x, deriv: int = 0) -> np.ndarray:
     """Row i holds the basis functions (or a derivative) evaluated at x[i].
 
     Natural mode requires x in [lo, hi]; cyclic mode wraps modulo the period.
+    Non-finite x is rejected in both modes.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"non-finite points: {x[~np.isfinite(x)][:5]}")
     if basis.mode == "cyclic":
         return _design_cyclic(basis, x, deriv)
     slack = 1e-12 * (basis.hi - basis.lo)

@@ -21,24 +21,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, families
-from .basis import build_basis, design_matrix
+from . import __version__
+from .basis import design_matrix
 from .errors import ConfigError, DataError, NumericError
-from .model import GlmSpec
+from .model import SplineModel, fitted_curves
 from .optim import OptimConfig
 from .rngs import substream
 from .runio import (
     MANIFEST_NAME,
+    config_from_dict,
     load_json_config,
-    load_manifest,
-    optim_config_from_dict,
     read_csv,
     scenario_config_from_dict,
-    scenario_config_to_dict,
     sha256_file,
     write_csv,
     write_manifest,
-    _from_dict,
 )
 from .simlab import (
     RESULT_COLUMNS,
@@ -55,68 +52,34 @@ TRAFFIC_SCHEMA = ("input CSV columns: sensor,direction,date,hour,count "
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(SplineModel):
     """Model description for the ``cv`` and ``fit`` commands."""
 
-    family: str
-    trials: int = 70
-    phi: float = 1.0
-    mean_knots: int = 30
-    disp_knots: int = 20
-    lo: float = 0.0
-    hi: float = 1.0
-    boundary: str = "natural"
     rect: tuple | None = None  # optional CV rectangle override [[lo,hi],[lo,hi]]
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "dpoisson", "dbinomial"):
-            raise ConfigError(
-                f"family must be gaussian|dpoisson|dbinomial, got {self.family!r}")
-        if self.boundary not in ("natural", "cyclic"):
-            raise ConfigError(f"boundary must be natural|cyclic, got {self.boundary!r}")
-        if self.phi <= 0:
-            raise ConfigError("phi must be positive")
-
-    def kernel(self):
-        if self.family == "gaussian":
-            return families.gaussian()
-        if self.family == "dpoisson":
-            return families.poisson()
-        return families.binomial(self.trials)
+        super().__post_init__()
+        if self.rect is not None:
+            try:
+                rect = ((float(self.rect[0][0]), float(self.rect[0][1])),
+                        (float(self.rect[1][0]), float(self.rect[1][1])))
+            except (TypeError, IndexError, ValueError) as exc:
+                raise ConfigError("model config: rect must be [[lo,hi],[lo,hi]]") from exc
+            object.__setattr__(self, "rect", rect)
 
 
-def model_config_from_dict(data: dict) -> ModelConfig:
-    kwargs = dict(_from_dict(ModelConfig, data, "model config"))
-    if "optim" in kwargs:
-        kwargs["optim"] = optim_config_from_dict(kwargs["optim"])
-    if "rect" in kwargs and kwargs["rect"] is not None:
-        rect = kwargs["rect"]
-        try:
-            kwargs["rect"] = ((float(rect[0][0]), float(rect[0][1])),
-                              (float(rect[1][0]), float(rect[1][1])))
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ConfigError("model config: rect must be [[lo,hi],[lo,hi]]") from exc
-    if "family" not in kwargs:
-        raise ConfigError("model config: missing required field 'family'")
+def _input_digest(path) -> str:
     try:
-        return ModelConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"model config: {exc}") from exc
-
-
-def model_config_to_dict(config: ModelConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["optim"] = dataclasses.asdict(config.optim)
-    if out["rect"] is not None:
-        out["rect"] = [list(out["rect"][0]), list(out["rect"][1])]
-    return out
+        return sha256_file(path)
+    except OSError as exc:
+        raise DataError(f"cannot read input {path}: {exc.strerror}") from exc
 
 
 def _check_input_digest(config: dict) -> None:
     # Reruns are only reproducible against the identical input snapshot.
     recorded = config.get("data_sha256")
-    if recorded and sha256_file(config["data"]) != recorded:
+    if recorded and _input_digest(config["data"]) != recorded:
         raise DataError(
             f"input {config['data']} does not match the digest recorded in the "
             "manifest; outputs would not be reproducible"
@@ -133,16 +96,6 @@ def _read_xy(path):
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed row: {exc}") from exc
     return x, y
-
-
-def _build_spec(config: ModelConfig, x):
-    mean_basis = build_basis(config.lo, config.hi, config.mean_knots, config.boundary)
-    disp_basis = build_basis(config.lo, config.hi, config.disp_knots, config.boundary)
-    X = design_matrix(mean_basis, x)
-    Z = design_matrix(disp_basis, x)
-    spec = GlmSpec(kernel=config.kernel(), X=X, Z=Z, beta=np.zeros(X.shape[1]),
-                   alpha=np.zeros(Z.shape[1]), phi=config.phi)
-    return spec, mean_basis, disp_basis
 
 
 def _outdir(path) -> Path:
@@ -165,14 +118,17 @@ def run_simulate(config: dict, out_dir: Path) -> list:
 
 def _summary_rows(result_rows):
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
+    n_col, method_col, diverged_col = (RESULT_COLUMNS.index(name)
+                                       for name in ("n", "method", "diverged"))
     out = []
-    methods = sorted({r[3] for r in result_rows})
+    methods = sorted({r[method_col] for r in result_rows})
     for method in methods:
-        rows = [r for r in result_rows if r[3] == method]
-        n = rows[0][2]
-        divergent = sum(r[9] for r in rows)
-        for metric, col in (("rmse_mean", 5), ("rmse_disp", 6)):
-            vals = np.array([r[col] for r in rows if not r[9]], dtype=float)
+        rows = [r for r in result_rows if r[method_col] == method]
+        n = rows[0][n_col]
+        divergent = sum(r[diverged_col] for r in rows)
+        for metric in ("rmse_mean", "rmse_disp"):
+            col = RESULT_COLUMNS.index(metric)
+            vals = np.array([r[col] for r in rows if not r[diverged_col]], dtype=float)
             if len(vals):
                 quants = np.quantile(vals, qs)
                 p95 = quants[-1]
@@ -214,25 +170,24 @@ def run_scenario_cmd(config: dict, out_dir: Path) -> list:
 
 
 def run_cv(config: dict, out_dir: Path) -> list:
-    model = model_config_from_dict(config["model"])
+    model = config_from_dict(ModelConfig, config["model"], "model config")
     _check_input_digest(config)
     x, y = _read_xy(config["data"])
-    spec, _, _ = _build_spec(model, x)
     method = config["method"]
     rect = model.rect if model.rect is not None else method_rectangle(method)
     plan = CvPlan(rect=rect, n_samples=int(config["samples"]),
                   n_folds=int(config["folds"]), seed=int(config["seed"]))
-    result = random_search_cv(spec, y, method, plan, model.optim)
+    result = random_search_cv(model.spec(x), y, method, plan, model.optim)
     head, rows = cv_table(result)
     write_csv(out_dir / "cv.csv", head, rows)
     return ["cv.csv"]
 
 
 def run_fit(config: dict, out_dir: Path) -> list:
-    model = model_config_from_dict(config["model"])
+    model = config_from_dict(ModelConfig, config["model"], "model config")
     _check_input_digest(config)
     x, y = _read_xy(config["data"])
-    spec, mean_basis, disp_basis = _build_spec(model, x)
+    spec = model.spec(x)
     method = config["method"]
     params = (float(config["params"][0]), float(config["params"][1]))
     rng = substream(int(config["seed"]), "fit")
@@ -241,9 +196,10 @@ def run_fit(config: dict, out_dir: Path) -> list:
         raise NumericError("fit diverged: non-finite coefficients")
 
     grid = np.linspace(model.lo, model.hi, 501)
-    mean_curve = spec.kernel.b_prime(design_matrix(mean_basis, grid) @ result.beta)
-    disp_curve = np.exp(np.clip(design_matrix(disp_basis, grid) @ result.alpha,
-                                -700, 700))
+    mean_basis, disp_basis = model.bases()
+    mean_curve, disp_curve = fitted_curves(
+        spec.kernel, design_matrix(mean_basis, grid), design_matrix(disp_basis, grid),
+        result.beta, result.alpha)
     write_csv(out_dir / "curve.csv", ["x", "mean", "dispersion"],
               np.column_stack([grid, mean_curve, disp_curve]))
     coef_rows = [["mean", j, v] for j, v in enumerate(result.beta)]
@@ -257,7 +213,7 @@ def run_traffic(config: dict, out_dir: Path) -> list:
     data = read_traffic_csv(config["data"])
     hours, counts = select_series(data, config["sensor"], config["direction"],
                                   summer_2019=bool(config.get("summer_2019", False)))
-    optim = optim_config_from_dict(config.get("optim", {}))
+    optim = config_from_dict(OptimConfig, config.get("optim", {}), "optim")
     fit = fit_traffic_model(
         hours, counts, config["noise"], int(config["samples"]),
         int(config["folds"]), int(config["seed"]), optim,
@@ -297,8 +253,7 @@ def cmd_simulate(args) -> int:
         raw = dict(raw)
         raw["seed"] = args.seed
     scenario = scenario_config_from_dict(raw)
-    config = {"scenario": scenario_config_to_dict(scenario),
-              "replicate": args.replicate}
+    config = {"scenario": dataclasses.asdict(scenario), "replicate": args.replicate}
     return _execute("simulate", config, args.out, scenario.seed)
 
 
@@ -313,14 +268,14 @@ def cmd_scenario(args) -> int:
         raise ConfigError("no methods given; use --methods bernoulli,gaussian,pmle")
     for m in methods:
         method_rectangle(m)
-    config = {"scenario": scenario_config_to_dict(scenario), "methods": methods}
+    config = {"scenario": dataclasses.asdict(scenario), "methods": methods}
     return _execute("scenario", config, args.out, scenario.seed)
 
 
 def _model_payload(args) -> dict:
-    model = model_config_from_dict(load_json_config(args.config))
-    return {"model": model_config_to_dict(model), "data": str(args.data),
-            "data_sha256": sha256_file(args.data)}
+    model = config_from_dict(ModelConfig, load_json_config(args.config), "model config")
+    return {"model": dataclasses.asdict(model), "data": str(args.data),
+            "data_sha256": _input_digest(args.data)}
 
 
 def cmd_cv(args) -> int:
@@ -341,11 +296,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_traffic(args) -> int:
-    optim = (optim_config_from_dict(load_json_config(args.config).get("optim", {}))
-             if args.config else OptimConfig())
+    raw = load_json_config(args.config).get("optim", {}) if args.config else {}
+    optim = config_from_dict(OptimConfig, raw, "optim")
     config = {
         "data": str(args.data),
-        "data_sha256": sha256_file(args.data),
+        "data_sha256": _input_digest(args.data),
         "sensor": args.sensor,
         "direction": args.direction,
         "noise": args.noise,
@@ -361,7 +316,7 @@ def cmd_traffic(args) -> int:
 
 
 def cmd_rerun(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest = load_json_config(args.manifest)
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise ConfigError(f"manifest names unknown command {command!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .model import GlmSpec, loglik
 
 
@@ -108,17 +108,6 @@ class McEstimate:
     value: float
     stderr: float
     draws: int
-
-
-def perturb(features, noise_draw) -> np.ndarray:
-    """Elementwise product x . xi; (x . xi)' beta == x' (beta . xi) exactly."""
-    features = np.asarray(features, dtype=float)
-    noise_draw = np.asarray(noise_draw, dtype=float)
-    if features.shape != noise_draw.shape:
-        raise DomainError(
-            f"feature/noise shape mismatch: {features.shape} vs {noise_draw.shape}"
-        )
-    return features * noise_draw
 
 
 def _chunk_sizes(draws: int, per_draw: int, budget: int = 4_000_000):

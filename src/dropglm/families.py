@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, gammaln
 
-from .errors import DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError
 
 
 def _poisson_cap(mean: float) -> int:
@@ -54,10 +54,6 @@ class FamilyKernel:
         raise NotImplementedError
 
     def mean_to_theta(self, mu):
-        raise NotImplementedError
-
-    def saturated_theta(self, y):
-        """theta(y); may be +-inf at the support boundary."""
         raise NotImplementedError
 
     def saturated_term(self, y):
@@ -106,9 +102,6 @@ class GaussianKernel(FamilyKernel):
     def mean_to_theta(self, mu):
         return np.asarray(mu, dtype=float) + 0.0
 
-    def saturated_theta(self, y):
-        return np.asarray(y, dtype=float) + 0.0
-
     def saturated_term(self, y):
         y = np.asarray(y, dtype=float)
         return 0.5 * y**2
@@ -144,11 +137,6 @@ class PoissonKernel(FamilyKernel):
         if np.any(mu <= 0):
             raise DomainError("poisson: mean must be positive")
         return np.log(mu)
-
-    def saturated_theta(self, y):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(y > 0, np.log(np.where(y > 0, y, 1.0)), -np.inf)
 
     def saturated_term(self, y):
         y = np.asarray(y, dtype=float)
@@ -203,13 +191,6 @@ class BinomialKernel(FamilyKernel):
         if np.any((mu <= 0) | (mu >= self.trials)):
             raise DomainError(f"binomial: mean must lie in (0, {self.trials})")
         return np.log(mu / (self.trials - mu))
-
-    def saturated_theta(self, y):
-        y = np.asarray(y, dtype=float)
-        n = float(self.trials)
-        with np.errstate(divide="ignore"):
-            inner = np.log(np.where((y > 0) & (y < n), y / (n - y), 1.0))
-        return np.where(y <= 0, -np.inf, np.where(y >= n, np.inf, inner))
 
     def saturated_term(self, y):
         y = np.asarray(y, dtype=float)
@@ -334,14 +315,7 @@ def def_normalizer(kernel, params: DefParams, tail_tol: float = 1e-12) -> DefNor
 
 def def_log_density(kernel, params: DefParams, y, normalized: bool = False):
     """log f_{gamma,theta}(y); with ``normalized`` off, uses the C = 1 convention."""
-    y = kernel.check_support(y)
-    r = params.dispersion_scale
-    out = (
-        0.5 * np.log(params.gamma)
-        + params.gamma * (y * params.theta - kernel.b(params.theta)) / r
-        + (1.0 - params.gamma) * kernel.saturated_term(y) / r
-        + kernel.base_measure(y, r)
-    )
+    out = _unnormalized_logpmf(kernel, params, kernel.check_support(y))
     if normalized:
         out = out + np.log(def_normalizer(kernel, params).constant)
     return out
@@ -398,6 +372,20 @@ def def_sample_each(kernel, thetas, gammas, rng: np.random.Generator,
                            phi=phi, nu=float(nus[i]))
         out[i] = def_sample(kernel, params, rng, 1, tail_tol)[0]
     return out
+
+
+FAMILIES = ("gaussian", "dpoisson", "dbinomial")
+
+
+def kernel_for(family: str, trials: int) -> FamilyKernel:
+    """Kernel of a model family; ``trials`` is used by ``dbinomial`` only."""
+    if family == "gaussian":
+        return GaussianKernel()
+    if family == "dpoisson":
+        return PoissonKernel()
+    if family == "dbinomial":
+        return BinomialKernel(trials)
+    raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
 
 
 def gaussian() -> GaussianKernel:

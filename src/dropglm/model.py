@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .basis import SplineBasis, build_basis, design_matrix
 from .errors import ConfigError
-from .families import FamilyKernel
+from .families import FAMILIES, FamilyKernel, kernel_for
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,51 @@ class GlmSpec:
 
     def rows(self, idx) -> "GlmSpec":
         return replace(self, X=self.X[idx], Z=self.Z[idx], weights=self.weights[idx])
+
+
+@dataclass(frozen=True)
+class SplineModel:
+    """The model every command fits: a DEF family with cubic B-spline bases
+    on [lo, hi] for the mean and for the dispersion."""
+
+    family: str
+    trials: int = 70
+    phi: float = 1.0
+    mean_knots: int = 30
+    disp_knots: int = 20
+    lo: float = 0.0
+    hi: float = 1.0
+    boundary: str = "natural"
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if self.boundary not in ("natural", "cyclic"):
+            raise ConfigError(f"boundary must be natural|cyclic, got {self.boundary!r}")
+        if self.phi <= 0:
+            raise ConfigError("phi must be positive")
+
+    def kernel(self) -> FamilyKernel:
+        return kernel_for(self.family, self.trials)
+
+    def bases(self) -> tuple[SplineBasis, SplineBasis]:
+        return (build_basis(self.lo, self.hi, self.mean_knots, self.boundary),
+                build_basis(self.lo, self.hi, self.disp_knots, self.boundary))
+
+    def spec(self, x) -> GlmSpec:
+        """Designs at ``x`` with zero coefficients."""
+        mean_basis, disp_basis = self.bases()
+        X = design_matrix(mean_basis, x)
+        Z = design_matrix(disp_basis, x)
+        return GlmSpec(kernel=self.kernel(), X=X, Z=Z, beta=np.zeros(X.shape[1]),
+                       alpha=np.zeros(Z.shape[1]), phi=self.phi)
+
+
+def fitted_curves(kernel: FamilyKernel, B_mean, B_disp, beta, alpha):
+    """(mean, dispersion) curves of fitted coefficients on evaluation designs:
+    the response-scale mean b'(B_mean beta) and gamma = exp(B_disp alpha)."""
+    return (kernel.b_prime(B_mean @ beta),
+            np.exp(np.clip(B_disp @ alpha, -700, 700)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .optim import OptimConfig
 from .simlab import ScenarioConfig
 
@@ -60,7 +60,7 @@ def read_csv(path):
         i += 1
     body = lines[i:]
     if not body:
-        raise ConfigError(f"{path}: missing header row")
+        raise DataError(f"{path}: missing header row")
     reader = csv.reader(body)
     parsed = list(reader)
     return comments, parsed[0], parsed[1:]
@@ -99,53 +99,35 @@ def write_manifest(out_dir, command: str, config: dict, seed, output_names) -> P
     return path
 
 
-def load_manifest(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-
-
 def load_json_config(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
-def _from_dict(cls, data: dict, context: str):
+def config_from_dict(cls, data, context: str):
+    """Build the config dataclass ``cls`` from a JSON object.  Unknown keys
+    are rejected and a nested ``optim`` object becomes an OptimConfig."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}; allowed: {sorted(names)}")
-    return data
-
-
-def optim_config_from_dict(data: dict) -> OptimConfig:
-    kwargs = dict(_from_dict(OptimConfig, data, "optim"))
+    kwargs = dict(data)
+    if "optim" in kwargs:
+        kwargs["optim"] = config_from_dict(OptimConfig, kwargs["optim"], "optim")
     try:
-        return OptimConfig(**kwargs)
+        return cls(**kwargs)
     except TypeError as exc:
-        raise ConfigError(f"optim: {exc}") from exc
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def scenario_config_from_dict(data: dict) -> ScenarioConfig:
-    kwargs = dict(_from_dict(ScenarioConfig, data, "scenario config"))
-    if "optim" in kwargs:
-        kwargs["optim"] = optim_config_from_dict(kwargs["optim"])
-    if "family" not in kwargs:
-        raise ConfigError("scenario config: missing required field 'family'")
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"scenario config: {exc}") from exc
-
-
-def scenario_config_to_dict(config: ScenarioConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["optim"] = dataclasses.asdict(config.optim)
-    return out
+    return config_from_dict(ScenarioConfig, data, "scenario config")

@@ -25,14 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .basis import SplineBasis, build_basis, design_matrix
+from .basis import design_matrix
 from .errors import ConfigError, DataError, DomainError
-from .model import GlmSpec
+from .model import SplineModel, fitted_curves
 from .optim import OptimConfig
 from .rngs import substream
 from .tuning import CvPlan, fit_method, random_search_cv
-
-FAMILIES = ("gaussian", "dpoisson", "dbinomial")
 
 _erf = np.vectorize(math.erf, otypes=[float])
 
@@ -96,12 +94,11 @@ class ScenarioConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         mean_index = self.mean_index or (1 if self.family == "gaussian" else 2)
         object.__setattr__(self, "mean_index", mean_index)
         phi = self.phi or (0.64 if self.family == "gaussian" else 1.0)
         object.__setattr__(self, "phi", phi)
+        self.model  # checks the family and phi
         if mean_index not in MEAN_FUNCTIONS:
             raise ConfigError(f"mean_index must be in {sorted(MEAN_FUNCTIONS)}")
         if self.disp_index not in DISPERSION_FUNCTIONS:
@@ -120,16 +117,14 @@ class ScenarioConfig:
     def disp_function(self):
         return DISPERSION_FUNCTIONS[self.disp_index]
 
-    def kernel(self):
-        if self.family == "gaussian":
-            return families.gaussian()
-        if self.family == "dpoisson":
-            return families.poisson()
-        return families.binomial(self.trials)
+    @property
+    def model(self) -> SplineModel:
+        """Natural-boundary bases on [0, 1], the simulation domain."""
+        return SplineModel(self.family, self.trials, self.phi, self.mean_knots,
+                           self.disp_knots)
 
-    def bases(self) -> tuple[SplineBasis, SplineBasis]:
-        return (build_basis(0.0, 1.0, self.mean_knots, "natural"),
-                build_basis(0.0, 1.0, self.disp_knots, "natural"))
+    def kernel(self):
+        return self.model.kernel()
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.kappa + 1)
@@ -192,24 +187,15 @@ class ScenarioResult:
     divergent_fits: int
 
 
-def _spec_for(config: ScenarioConfig, x, bases) -> GlmSpec:
-    mean_basis, disp_basis = bases
-    kernel = config.kernel()
-    X = design_matrix(mean_basis, x)
-    Z = design_matrix(disp_basis, x)
-    return GlmSpec(kernel=kernel, X=X, Z=Z, beta=np.zeros(X.shape[1]),
-                   alpha=np.zeros(Z.shape[1]), phi=config.phi)
-
-
 def run_scenario(config: ScenarioConfig, methods) -> ScenarioResult:
     """The full protocol: CV on replicate 1, fits on replicates 2..R+1,
     RMSE on the evaluation grid for mean (response scale) and dispersion
     (gamma scale)."""
     for m in methods:
         method_rectangle(m)
-    kernel = config.kernel()
-    bases = config.bases()
-    mean_basis, disp_basis = bases
+    model = config.model
+    kernel = model.kernel()
+    mean_basis, disp_basis = model.bases()
     grid = config.grid()
     truth_mean = config.mean_function(grid)
     truth_disp = config.disp_function(grid)
@@ -227,22 +213,21 @@ def run_scenario(config: ScenarioConfig, methods) -> ScenarioResult:
                       n_folds=config.cv_folds,
                       seed=int(substream(config.seed, "cvseed", method).integers(2**31)))
         x0, y0 = datasets[0]
-        spec0 = _spec_for(config, x0, bases)
-        cv = random_search_cv(spec0, y0, method, plan, config.optim)
+        cv = random_search_cv(model.spec(x0), y0, method, plan, config.optim)
         cv_results[method] = cv
         params = cv.selected_params
 
         for m in range(1, config.replicates + 1):
             x, y = datasets[m]
-            spec = _spec_for(config, x, bases)
+            spec = model.spec(x)
             rng = substream(config.seed, "fit", method, m)
             result = fit_method(spec, y, method, params, config.optim, rng)
             if result.diverged:
                 diverged = True
                 r_mean = r_disp = float("nan")
             else:
-                est_mean = kernel.b_prime(B_mean @ result.beta)
-                est_disp = np.exp(np.clip(B_disp @ result.alpha, -700, 700))
+                est_mean, est_disp = fitted_curves(kernel, B_mean, B_disp,
+                                                   result.beta, result.alpha)
                 r_mean = rmse(est_mean, truth_mean)
                 r_disp = rmse(est_disp, truth_disp)
                 diverged = not (np.isfinite(r_mean) and np.isfinite(r_disp)

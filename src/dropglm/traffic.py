@@ -22,10 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import families
-from .basis import build_basis, design_matrix
+from .basis import design_matrix
 from .errors import ConfigError, DataError
-from .model import GlmSpec
+from .model import SplineModel, fitted_curves
 from .optim import FitResult, OptimConfig
 from .rngs import substream
 from .tuning import CvPlan, CvResult, fit_method, random_search_cv
@@ -142,13 +141,9 @@ def fit_traffic_model(hours, counts, noise_kind: str, cv_samples: int,
     if len(hours) < cv_folds:
         raise DataError(f"need at least {cv_folds} observations, got {len(hours)}")
 
-    kernel = families.poisson()
-    mean_basis = build_basis(0.0, 24.0, mean_knots, "cyclic")
-    disp_basis = build_basis(0.0, 24.0, disp_knots, "cyclic")
-    X = design_matrix(mean_basis, hours)
-    Z = design_matrix(disp_basis, hours)
-    spec = GlmSpec(kernel=kernel, X=X, Z=Z, beta=np.zeros(X.shape[1]),
-                   alpha=np.zeros(Z.shape[1]))
+    model = SplineModel("dpoisson", mean_knots=mean_knots, disp_knots=disp_knots,
+                        lo=0.0, hi=24.0, boundary="cyclic")
+    spec = model.spec(hours)
 
     plan = CvPlan(rect=TRAFFIC_RECTS[noise_kind], n_samples=cv_samples,
                   n_folds=cv_folds, seed=seed)
@@ -156,9 +151,9 @@ def fit_traffic_model(hours, counts, noise_kind: str, cv_samples: int,
     final = fit_method(spec, counts, noise_kind, cv.selected_params, optim,
                        substream(seed, "final-fit"))
 
-    B_mean = design_matrix(mean_basis, HOUR_GRID)
-    B_disp = design_matrix(disp_basis, HOUR_GRID)
-    mean_curve = np.exp(np.clip(B_mean @ final.beta, -700, 700))
-    disp_curve = np.exp(np.clip(B_disp @ final.alpha, -700, 700))
+    mean_basis, disp_basis = model.bases()
+    mean_curve, disp_curve = fitted_curves(
+        spec.kernel, design_matrix(mean_basis, HOUR_GRID),
+        design_matrix(disp_basis, HOUR_GRID), final.beta, final.alpha)
     return TrafficFit(cv=cv, fit=final, grid=HOUR_GRID, mean_curve=mean_curve,
                       disp_curve=disp_curve, n_used=len(hours))

@@ -8,7 +8,8 @@ drawn uniformly from the rectangle; each pair is fitted k times leaving one
 fold out and scored by the held-out log-likelihood (base-measure terms
 included so values are comparable across methods).  The winner is the pair
 with the largest mean held-out log-likelihood; ties break to the smallest
-sample index.
+sample index.  A search in which every pair has a non-finite fold selects
+nothing and raises NumericError.
 
 Fits derive their RNG streams from (seed, sample index, fold index), so the
 evaluation order of samples has no effect on the table or the winner.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dropout import NoiseSpec
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .model import GlmSpec, loglik
 from .optim import FitResult, OptimConfig, fit
 from .pmle import DiffPenalty, pmle_fit
@@ -146,6 +147,9 @@ def random_search_cv(spec: GlmSpec, y, method: str, plan: CvPlan,
     mean_logliks = np.where(
         np.all(np.isfinite(fold_logliks), axis=1), fold_logliks.mean(axis=1), -np.inf
     )
+    if np.all(np.isneginf(mean_logliks)):
+        raise NumericError(f"{method} CV: every sample has a fold whose fit diverged "
+                           "or scores a non-finite held-out log-likelihood")
     selected = int(np.argmax(mean_logliks))
     return CvResult(params=params, fold_logliks=fold_logliks,
                     mean_logliks=mean_logliks, selected_index=selected,

@@ -411,7 +411,7 @@ def test_criterion_11_manifest_determinism(tmp_path):
     import json
 
     from dropglm.cli import main
-    from dropglm.runio import load_manifest
+    from dropglm.runio import load_json_config
 
     lean = {"batch_size": 20, "max_iters": 300, "tol": 1e-12, "avg_window": 150}
     scen = {"family": "gaussian", "disp_index": 1, "n": 50, "replicates": 1,
@@ -453,7 +453,7 @@ def test_criterion_11_manifest_determinism(tmp_path):
         assert main(argv + [str(first)]) == 0, name
         assert main(["rerun", str(first / "manifest.json"), "--out",
                      str(again)]) == 0, name
-        manifest = load_manifest(first / "manifest.json")
+        manifest = load_json_config(first / "manifest.json")
         for entry in manifest["outputs"]:
             a = (first / entry["path"]).read_bytes()
             b = (again / entry["path"]).read_bytes()

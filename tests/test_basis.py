@@ -93,6 +93,13 @@ class TestDesignMatrix:
         with pytest.raises(DomainError):
             design_matrix(b, [1.2])
 
+    @pytest.mark.parametrize("mode", ["natural", "cyclic"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_raise(self, mode, bad):
+        b = build_basis(0, 1, 10, mode)
+        with pytest.raises(DomainError):
+            design_matrix(b, [0.5, bad])
+
     def test_column_sums_match_quadrature(self):
         # Riemann column sums over the 501-point grid approximate the basis
         # masses computed by adaptive quadrature.

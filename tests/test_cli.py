@@ -21,6 +21,19 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def write_xy(path: Path, x) -> str:
+    """An x,y data CSV with y = sin(2 pi x), and y = 0 where x is not finite."""
+    y = np.sin(2 * np.pi * np.nan_to_num(x))
+    write_csv(path, ["x", "y"], np.column_stack([x, y]))
+    return str(path)
+
+
+def small_model(tmp_path: Path) -> str:
+    return write_config(tmp_path / "model.json",
+                        {"family": "gaussian", "mean_knots": 5, "disp_knots": 4,
+                         "optim": LEAN_OPTIM})
+
+
 def scenario_payload(**overrides):
     payload = {"family": "gaussian", "disp_index": 1, "n": 60, "replicates": 2,
                "cv_samples": 2, "cv_folds": 2, "seed": 7, "optim": LEAN_OPTIM}
@@ -270,6 +283,78 @@ class TestExitCodes:
                        "--out", str(tmp_path / "o")) == 3
         err = capsys.readouterr().err
         assert "W1" in err and "inbound" in err
+
+    @pytest.mark.parametrize("command", ["cv", "fit", "traffic"])
+    def test_missing_data_file_exits_3(self, tmp_path, capsys, command):
+        model = small_model(tmp_path)
+        rest = {"cv": ["--config", model, "--method", "bernoulli"],
+                "fit": ["--config", model, "--method", "bernoulli",
+                        "--params", "0.1,0.1"],
+                "traffic": ["--sensor", "W1", "--direction", "inbound"]}[command]
+        assert run_cli(command, "--data", str(tmp_path / "absent.csv"), *rest,
+                       "--out", str(tmp_path / "o")) == 3
+        assert "absent.csv" in capsys.readouterr().err
+
+    def test_rerun_of_missing_manifest_exits_2(self, tmp_path):
+        assert run_cli("rerun", str(tmp_path / "manifest.json"), "--out",
+                       str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("command", ["traffic", "rerun"])
+    def test_non_object_json_exits_2(self, tmp_path, command):
+        listing = write_config(tmp_path / "list.json", [1])
+        argv = (["rerun", listing] if command == "rerun" else
+                ["traffic", "--data", str(tmp_path / "t.csv"), "--sensor", "W1",
+                 "--direction", "inbound", "--config", listing])
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+
+    def test_rerun_with_vanished_input_exits_3(self, tmp_path):
+        data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+        model = small_model(tmp_path)
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--data", data, "--config", model, "--method",
+                       "bernoulli", "--params", "0.1,0.1", "--out", str(out)) == 0
+        Path(data).unlink()
+        assert run_cli("rerun", str(out / "manifest.json"), "--out",
+                       str(tmp_path / "r")) == 3
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
+    def test_data_without_header_exits_3(self, tmp_path, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        model = small_model(tmp_path)
+        assert run_cli("fit", "--data", str(data), "--config", model, "--method",
+                       "bernoulli", "--params", "0.1,0.1",
+                       "--out", str(tmp_path / "o")) == 3
+
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    def test_non_finite_x_exits_3(self, tmp_path, capsys, command):
+        x = np.linspace(0, 1, 40)
+        x[7] = np.nan
+        data = write_xy(tmp_path / "data.csv", x)
+        model = small_model(tmp_path)
+        rest = (["--samples", "2", "--folds", "2"] if command == "cv"
+                else ["--params", "0.1,0.1"])
+        assert run_cli(command, "--data", data, "--config", model, "--method",
+                       "bernoulli", *rest, "--out", str(tmp_path / "o")) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_cv_without_finite_sample_exits_4(self, tmp_path, capsys, monkeypatch):
+        from dropglm import tuning
+        from dropglm.optim import FitResult
+
+        def diverged(spec, *args):
+            return FitResult(beta=np.full(spec.X.shape[1], np.nan),
+                             alpha=np.zeros(spec.Z.shape[1]), n_iter=1,
+                             trace_iters=np.array([1]),
+                             trace_loglik=np.array([np.nan]), termination="max-iter")
+
+        monkeypatch.setattr(tuning, "fit_method", diverged)
+        data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+        model = small_model(tmp_path)
+        assert run_cli("cv", "--data", data, "--config", model, "--method",
+                       "bernoulli", "--samples", "2", "--folds", "2",
+                       "--out", str(tmp_path / "o")) == 4
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_malformed_rows_rejected_with_count(self, tmp_path):
         csv_path = tmp_path / "traffic.csv"

@@ -10,11 +10,10 @@ from dropglm.dropout import (
     penalized_objective,
     penalized_objective_grad,
     penalty_matrices,
-    perturb,
     remainder_binomial_bound,
     remainder_poisson,
 )
-from dropglm.errors import ConfigError, DomainError
+from dropglm.errors import ConfigError
 from dropglm.model import GlmSpec, loglik
 
 
@@ -62,21 +61,6 @@ class TestNoiseSpec:
 
 
 class TestPerturb:
-    def test_identity_noise(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(perturb(x, np.ones(3)), x)
-
-    def test_elementwise_product(self):
-        assert np.array_equal(perturb(np.array([1.0, 2.0]), np.array([2.0, 0.0])),
-                              np.array([2.0, 0.0]))
-
-    def test_equivalence_of_feature_and_coefficient_noise(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=6)
-        beta = rng.normal(size=6)
-        xi = NoiseSpec.bernoulli(0.4).draw("mean", (6,), rng)
-        assert perturb(x, xi) @ beta == pytest.approx(x @ perturb(beta, xi), abs=1e-12)
-
     def test_unbiasedness(self):
         rng = np.random.default_rng(3)
         x = np.array([1.0, -2.0, 0.5])
@@ -84,10 +68,6 @@ class TestPerturb:
         mean = (x * draws).mean(axis=0)
         se = np.abs(x) * 1.0 / np.sqrt(draws.shape[0])  # noise sd is 1 at delta=0.5
         assert np.all(np.abs(mean - x) < 3 * np.maximum(se, 1e-12))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            perturb(np.ones(3), np.ones(4))
 
 
 class TestMcObjective:

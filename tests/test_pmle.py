@@ -117,11 +117,11 @@ class TestPmleFit:
     def test_large_lambda_forces_linear_mean(self):
         # Scenario-1-style Gaussian data; lambda_mu = 1e6 shrinks the fitted
         # mean coefficients to an affine sequence.
-        from dropglm.simlab import ScenarioConfig, generate_dataset, _spec_for
+        from dropglm.simlab import ScenarioConfig, generate_dataset
 
         cfg = ScenarioConfig(family="gaussian", disp_index=1, n=250, seed=3)
         x, y = generate_dataset(cfg, 1)
-        spec = _spec_for(cfg, x, cfg.bases())
+        spec = cfg.model.spec(x)
         penalty = DiffPenalty(1e6, 10.0, spec.X.shape[1], spec.Z.shape[1])
         config = OptimConfig(max_iters=12_000, tol=1e-12)
         res = pmle_fit(spec, y, penalty, config, np.random.default_rng(8))
@@ -146,11 +146,11 @@ class TestFitMethodReachesMinimum:
 
     @pytest.fixture(scope="class")
     def scenario3(self):
-        from dropglm.simlab import ScenarioConfig, generate_dataset, _spec_for
+        from dropglm.simlab import ScenarioConfig, generate_dataset
 
         cfg = ScenarioConfig(family="gaussian", disp_index=3, n=250, seed=self.SEED)
         x, y = generate_dataset(cfg, 1)
-        return _spec_for(cfg, x, cfg.bases()), y
+        return cfg.model.spec(x), y
 
     @staticmethod
     def exact_minimum(spec, y, penalty) -> float:

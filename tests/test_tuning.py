@@ -3,7 +3,7 @@ import pytest
 
 from dropglm import families as fam
 from dropglm.basis import build_basis, design_matrix
-from dropglm.errors import ConfigError
+from dropglm.errors import ConfigError, NumericError
 from dropglm.model import GlmSpec
 from dropglm.optim import FitResult, OptimConfig
 from dropglm.rngs import substream
@@ -115,17 +115,34 @@ class TestRandomSearchCv:
                         termination="max-iter")
         assert _heldout_loglik(spec, y, np.arange(5), bad) == -np.inf
 
+    def test_no_finite_sample_raises(self, monkeypatch):
+        # Every fold fit diverges, so no sample has a finite mean and none
+        # may be selected.
+        from dropglm import tuning
+
+        def diverged(spec, *args):
+            return FitResult(beta=np.full(spec.X.shape[1], np.nan),
+                             alpha=np.zeros(spec.Z.shape[1]), n_iter=1,
+                             trace_iters=np.array([1]),
+                             trace_loglik=np.array([np.nan]), termination="max-iter")
+
+        monkeypatch.setattr(tuning, "fit_method", diverged)
+        spec, y = small_problem()
+        plan = CvPlan(rect=((0.0, 1.0), (0.0, 1.0)), n_samples=3, n_folds=2, seed=1)
+        with pytest.raises(NumericError):
+            random_search_cv(spec, y, "bernoulli", plan, FAST)
+
 
 class TestScenarioOneSelection:
     def test_tuned_pair_beats_zero_noise_on_heldout(self):
         # Scenario 1 Gaussian data, gaussian-noise method, s=50, k=5, n=250:
         # the selected pair lies strictly inside the rectangle and its mean
         # held-out log-likelihood is at least the zero-noise pair's.
-        from dropglm.simlab import ScenarioConfig, generate_dataset, _spec_for
+        from dropglm.simlab import ScenarioConfig, generate_dataset
 
         cfg = ScenarioConfig(family="gaussian", disp_index=1, n=250, seed=31)
         x, y = generate_dataset(cfg, 0)
-        spec = _spec_for(cfg, x, cfg.bases())
+        spec = cfg.model.spec(x)
         optim = OptimConfig(batch_size=30, max_iters=1500, tol=1e-12,
                             avg_window=750)
         plan = CvPlan(rect=((0.0, 3.0), (0.0, 6.0)), n_samples=50, n_folds=5,
