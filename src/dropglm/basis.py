@@ -59,7 +59,6 @@ class SplineBasis:
     hi: float
     nknots: int
     mode: str  # "natural" | "cyclic"
-    degree: int = 3
     knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

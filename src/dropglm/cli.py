@@ -315,12 +315,23 @@ def cmd_traffic(args) -> int:
     return _execute("traffic", config, args.out, args.seed)
 
 
+class _ManifestConfig(dict):
+    """A manifest's config; a key its runner needs but lacks is a
+    configuration error, not a KeyError."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"manifest config lacks the key {key!r}")
+
+
 def cmd_rerun(args) -> int:
     manifest = load_json_config(args.manifest)
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise ConfigError(f"manifest names unknown command {command!r}")
-    return _execute(command, manifest["config"], args.out, manifest.get("seed"))
+    config = manifest.get("config")
+    if not isinstance(config, dict):
+        raise ConfigError(f"{args.manifest}: config must be a JSON object")
+    return _execute(command, _ManifestConfig(config), args.out, manifest.get("seed"))
 
 
 def build_parser() -> argparse.ArgumentParser:

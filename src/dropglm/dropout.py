@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import GlmSpec, loglik
+from .model import GlmSpec, loglik_terms
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,9 @@ class NoiseSpec:
                     raise ConfigError(f"bernoulli dropout probability must be in [0,1), got {p}")
         if self.kind == "gaussian":
             for p in (self.mean_param, self.disp_param):
-                if p < 0.0:
-                    raise ConfigError(f"gaussian noise sd must be nonnegative, got {p}")
+                if not 0.0 <= p < np.inf:
+                    raise ConfigError(f"gaussian noise sd must be finite and "
+                                      f"nonnegative, got {p}")
 
     @staticmethod
     def none() -> "NoiseSpec":
@@ -119,41 +120,11 @@ def _chunk_sizes(draws: int, per_draw: int, budget: int = 4_000_000):
         done += size
 
 
-class _StreamStats:
-    """Streaming mean/variance with a shift to avoid cancellation."""
-
-    def __init__(self):
-        self.count = 0
-        self.shift = None
-        self.sum = 0.0
-        self.sumsq = 0.0
-
-    def add(self, values: np.ndarray):
-        if self.shift is None:
-            self.shift = float(values.mean())
-        d = values - self.shift
-        self.count += values.size
-        self.sum += float(d.sum())
-        self.sumsq += float((d * d).sum())
-
-    @property
-    def mean(self) -> float:
-        return self.shift + self.sum / self.count
-
-    @property
-    def stderr(self) -> float:
-        var = max(self.sumsq / self.count - (self.sum / self.count) ** 2, 0.0)
-        return float(np.sqrt(var / self.count))
-
-
 def _per_draw_loglik(spec: GlmSpec, y, noise: NoiseSpec, size: int,
                      rng: np.random.Generator) -> np.ndarray:
     """(size,) totals of the log-likelihood under fresh per-observation noise."""
-    X, Z = spec.X, spec.Z
-    r = spec.dispersion_scale
-    sat = spec.kernel.saturated_term(y) / r
-    xb = X * spec.beta  # (n, d_mu); theta~ = sum_j x_ij beta_j xi_ij
-    za = Z * spec.alpha
+    xb = spec.X * spec.beta  # (n, d_mu); theta~ = sum_j x_ij beta_j xi_ij
+    za = spec.Z * spec.alpha
     if noise.kind != "none" and noise.mean_param > 0:
         xi = noise.draw("mean", (size,) + xb.shape, rng)
         theta = np.einsum("cnd,nd->cn", xi, xb)
@@ -164,11 +135,7 @@ def _per_draw_loglik(spec: GlmSpec, y, noise: NoiseSpec, size: int,
         eta = np.einsum("cnd,nd->cn", zeta, za)
     else:
         eta = np.broadcast_to(za.sum(axis=1), (size, len(y)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = np.exp(eta)
-        gap = (y * theta - spec.kernel.b(theta)) / r - sat
-        term = np.where(gap == 0.0, 0.0, gamma * gap)
-    return (0.5 * eta + term + sat).sum(axis=1)
+    return loglik_terms(spec.kernel, theta, eta, y, spec.dispersion_scale).sum(axis=1)
 
 
 def mc_dropout_objective(spec: GlmSpec, y, noise: NoiseSpec, draws: int,
@@ -184,10 +151,10 @@ def mc_dropout_objective(spec: GlmSpec, y, noise: NoiseSpec, draws: int,
         raise ConfigError("draws must be >= 1")
     y = spec.kernel.check_support(y)
     per_draw = spec.n * max(spec.X.shape[1], spec.Z.shape[1])
-    stats = _StreamStats()
-    for size in _chunk_sizes(draws, per_draw):
-        stats.add(-_per_draw_loglik(spec, y, noise, size, rng))
-    return McEstimate(value=stats.mean, stderr=stats.stderr, draws=draws)
+    totals = -np.concatenate([_per_draw_loglik(spec, y, noise, size, rng)
+                              for size in _chunk_sizes(draws, per_draw)])
+    return McEstimate(value=float(totals.mean()),
+                      stderr=float(totals.std() / np.sqrt(draws)), draws=draws)
 
 
 def exact_penalty_gap(spec: GlmSpec, noise: NoiseSpec, draws: int,
@@ -256,15 +223,6 @@ def expected_noisy_dispersion(spec: GlmSpec, noise: NoiseSpec) -> np.ndarray:
     return np.exp(spec.log_gamma + 0.5 * sg2 * ((spec.Z * spec.alpha) ** 2).sum(axis=1))
 
 
-def _misspecified_loglik_terms(spec: GlmSpec, y, e_gamma: np.ndarray) -> np.ndarray:
-    r = spec.dispersion_scale
-    sat = spec.kernel.saturated_term(y) / r
-    gap = (y * spec.theta - spec.kernel.b(spec.theta)) / r - sat
-    with np.errstate(over="ignore", invalid="ignore"):
-        term = np.where(gap == 0.0, 0.0, e_gamma * gap)
-    return 0.5 * np.log(e_gamma) + term + sat
-
-
 def penalized_objective(spec: GlmSpec, y, noise: NoiseSpec) -> float:
     """Closed-form approximation of the doubly-perturbed dropout objective.
 
@@ -275,11 +233,12 @@ def penalized_objective(spec: GlmSpec, y, noise: NoiseSpec) -> float:
     mean-dropout form when sigma_gamma = 0.
     """
     y = spec.kernel.check_support(y)
-    e_gamma = expected_noisy_dispersion(spec, noise)
+    eta = np.log(expected_noisy_dispersion(spec, noise))
     snap = penalty_matrices(spec, noise)
     sm2 = noise.mean_variance
     sg2 = noise.disp_variance
-    value = -float(np.sum(_misspecified_loglik_terms(spec, y, e_gamma)))
+    value = -float(np.sum(loglik_terms(spec.kernel, spec.theta, eta, y,
+                                       spec.dispersion_scale)))
     value += 0.5 * sm2 * float(np.sum((snap.Theta_tilde * spec.beta) ** 2))
     value += 0.25 * sg2 * float(np.sum((snap.Gamma * spec.alpha) ** 2))
     return value

@@ -149,20 +149,23 @@ class ScoreReport:
     w_alpha: np.ndarray  # per-obs dispersion-block Hessian weight
 
 
+def loglik_terms(kernel: FamilyKernel, theta, eta, y, scale) -> np.ndarray:
+    """Per-observation l_i at mean predictor theta and eta = log gamma
+    (C = 1 convention), with scale = phi/nu; broadcasts over arrays."""
+    sat = kernel.saturated_term(y) / scale
+    # gamma can overflow to inf under extreme alpha; 0 * inf is treated as 0
+    # so that a saturated observation does not poison the total with NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = (y * theta - kernel.b(theta)) / scale - sat
+        term = np.where(gap == 0.0, 0.0, np.exp(eta) * gap)
+    return 0.5 * eta + term + sat
+
+
 def loglik(spec: GlmSpec, y, include_base_measure: bool = False) -> float:
     """Sum of the per-observation terms l_i (C = 1 convention)."""
     y = spec.kernel.check_support(y)
     r = spec.dispersion_scale
-    eta = spec.log_gamma
-    gamma = np.exp(eta)
-    dev_kernel = (y * spec.theta - spec.kernel.b(spec.theta)) / r
-    sat = spec.kernel.saturated_term(y) / r
-    # gamma can overflow to inf under extreme alpha; 0 * inf is treated as 0
-    # so that a saturated observation does not poison the total with NaN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = dev_kernel - sat
-        term = np.where(gap == 0.0, 0.0, gamma * gap)
-    total = 0.5 * eta + term + sat
+    total = loglik_terms(spec.kernel, spec.theta, spec.log_gamma, y, r)
     if include_base_measure:
         total = total + spec.kernel.base_measure(y, r)
     return float(np.sum(total))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dropout import NoiseSpec
 from .errors import ConfigError
-from .model import GlmSpec
+from .model import GlmSpec, loglik_terms
 
 # Safety clamps applied to linear predictors during fitting only; divergent
 # hyperparameters are expected under random-search CV and must not overflow.
@@ -104,16 +104,6 @@ def warm_start_beta(spec: GlmSpec, y) -> np.ndarray:
     return np.linalg.solve(X.T @ X + ridge * np.eye(X.shape[1]), X.T @ t)
 
 
-def _clamped_loglik(spec: GlmSpec, y, sat_over_r, theta_clamp) -> float:
-    """Full-data log-likelihood with the fitting clamps applied."""
-    r = spec.dispersion_scale
-    theta = np.clip(spec.theta, -theta_clamp, theta_clamp)
-    eta = np.clip(spec.log_gamma, -_ETA_CLAMP, _ETA_CLAMP)
-    gamma = np.exp(eta)
-    gap = (y * theta - spec.kernel.b(theta)) / r - sat_over_r
-    return float(np.sum(0.5 * eta + gamma * gap + sat_over_r))
-
-
 def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
         rng: np.random.Generator | None = None, penalty=None) -> FitResult:
     """SGD ascent of the (noise-perturbed, optionally penalized) likelihood.
@@ -136,7 +126,6 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     X, Z = spec.X, spec.Z
     r = spec.dispersion_scale
     sat = kernel.saturated_term(y)
-    sat_over_r = sat / r
     theta_clamp = _THETA_CLAMPS[kernel.name]
     scale = n / config.batch_size
 
@@ -197,8 +186,9 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
         slot[X.shape[1] :] = alpha
 
         if it % config.trace_every == 0:
-            value = _clamped_loglik(spec.with_coefs(beta, alpha), y, sat_over_r,
-                                    theta_clamp)
+            value = float(np.sum(loglik_terms(
+                kernel, np.clip(X @ beta, -theta_clamp, theta_clamp),
+                np.clip(Z @ alpha, -_ETA_CLAMP, _ETA_CLAMP), y, r)))
             if penalty is not None:
                 value -= penalty.value(beta, alpha)
             trace_iters.append(it)

@@ -43,8 +43,9 @@ class DiffPenalty:
     P_disp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.lam_mean < 0 or self.lam_disp < 0:
-            raise ConfigError("smoothing parameters must be nonnegative")
+        if not (0 <= self.lam_mean < np.inf and 0 <= self.lam_disp < np.inf):
+            raise ConfigError("smoothing parameters must be finite and nonnegative, "
+                              f"got ({self.lam_mean}, {self.lam_disp})")
         object.__setattr__(self, "P_mean", second_difference_penalty(self.dim_mean))
         object.__setattr__(self, "P_disp", second_difference_penalty(self.dim_disp))
 

@@ -25,7 +25,7 @@ import numpy as np
 from .basis import design_matrix
 from .errors import ConfigError, DataError
 from .model import SplineModel, fitted_curves
-from .optim import FitResult, OptimConfig
+from .optim import OptimConfig
 from .rngs import substream
 from .tuning import CvPlan, CvResult, fit_method, random_search_cv
 
@@ -122,11 +122,9 @@ def select_series(data: TrafficData, sensor: str, direction: str,
 @dataclass(frozen=True)
 class TrafficFit:
     cv: CvResult
-    fit: FitResult
     grid: np.ndarray
     mean_curve: np.ndarray
     disp_curve: np.ndarray
-    n_used: int
 
 
 def fit_traffic_model(hours, counts, noise_kind: str, cv_samples: int,
@@ -155,5 +153,5 @@ def fit_traffic_model(hours, counts, noise_kind: str, cv_samples: int,
     mean_curve, disp_curve = fitted_curves(
         spec.kernel, design_matrix(mean_basis, HOUR_GRID),
         design_matrix(disp_basis, HOUR_GRID), final.beta, final.alpha)
-    return TrafficFit(cv=cv, fit=final, grid=HOUR_GRID, mean_curve=mean_curve,
-                      disp_curve=disp_curve, n_used=len(hours))
+    return TrafficFit(cv=cv, grid=HOUR_GRID, mean_curve=mean_curve,
+                      disp_curve=disp_curve)

@@ -50,7 +50,7 @@ class CvPlan:
 
     def __post_init__(self):
         (lo1, hi1), (lo2, hi2) = self.rect
-        if lo1 > hi1 or lo2 > hi2 or min(lo1, lo2) < 0:
+        if not (0 <= lo1 <= hi1 < np.inf and 0 <= lo2 <= hi2 < np.inf):
             raise ConfigError(f"invalid hyperparameter rectangle {self.rect}")
         if self.n_samples < 1 or self.n_folds < 2:
             raise ConfigError("need n_samples >= 1 and n_folds >= 2")

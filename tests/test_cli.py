@@ -356,6 +356,36 @@ class TestExitCodes:
                        "--out", str(tmp_path / "o")) == 4
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,params", [("gaussian", "nan,0"),
+                                               ("gaussian", "inf,0"),
+                                               ("pmle", "nan,0")])
+    def test_non_finite_params_exit_2(self, tmp_path, capsys, method, params):
+        data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+        model = small_model(tmp_path)
+        assert run_cli("fit", "--data", data, "--config", model, "--method", method,
+                       "--params", params, "--out", str(tmp_path / "o")) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_rect_exits_2(self, tmp_path, capsys):
+        data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+        model = write_config(tmp_path / "model.json",
+                             {"family": "gaussian", "mean_knots": 5, "disp_knots": 4,
+                              "rect": [[0, "nan"], [0, 1]], "optim": LEAN_OPTIM})
+        assert run_cli("cv", "--data", data, "--config", model, "--method",
+                       "gaussian", "--samples", "2", "--folds", "2",
+                       "--out", str(tmp_path / "o")) == 2
+        assert "rectangle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest,named", [
+        ({"command": "fit", "config": {}}, "'model'"),
+        ({"command": "traffic", "config": {}}, "'data'"),
+        ({"command": "fit"}, "config")])
+    def test_rerun_of_malformed_config_exits_2(self, tmp_path, capsys, manifest,
+                                               named):
+        path = write_config(tmp_path / "manifest.json", manifest)
+        assert run_cli("rerun", path, "--out", str(tmp_path / "o")) == 2
+        assert named in capsys.readouterr().err
+
     def test_malformed_rows_rejected_with_count(self, tmp_path):
         csv_path = tmp_path / "traffic.csv"
         make_traffic_csv(csv_path, days=3)
