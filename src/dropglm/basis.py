@@ -156,13 +156,3 @@ def design_matrix(basis: SplineBasis, x, deriv: int = 0) -> np.ndarray:
         )
     x = np.clip(x, basis.lo, basis.hi)
     return _fold_natural(_design_unconstrained(basis, x, deriv))
-
-
-def evaluate_effect(basis: SplineBasis, coefficients, x) -> np.ndarray:
-    """Pointwise linear predictor B(x)^T coefficients."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != (basis.dim,):
-        raise ConfigError(
-            f"coefficient length {coefficients.shape} does not match basis dim {basis.dim}"
-        )
-    return design_matrix(basis, x) @ coefficients

@@ -43,8 +43,8 @@ from .simlab import (
     method_rectangle,
     run_scenario,
 )
-from .traffic import fit_traffic_model, read_traffic_csv, select_series
-from .tuning import CvPlan, cv_table, fit_method, random_search_cv
+from .traffic import TRAFFIC_RECTS, fit_traffic_model, read_traffic_csv, select_series
+from .tuning import METHODS, CvPlan, cv_table, fit_method, random_search_cv
 
 TRAFFIC_SCHEMA = ("input CSV columns: sensor,direction,date,hour,count "
                   "(direction inbound|outbound, date YYYY-MM-DD, hour 0..24 "
@@ -76,14 +76,35 @@ def _input_digest(path) -> str:
         raise DataError(f"cannot read input {path}: {exc.strerror}") from exc
 
 
-def _check_input_digest(config: dict) -> None:
-    # Reruns are only reproducible against the identical input snapshot.
+def _typed(config: dict, key: str, convert, default=None):
+    """``convert`` applied to ``config[key]`` (to ``default`` where one is given
+    and the key is absent); a value it rejects is a configuration error that
+    names the key."""
+    value = config[key] if default is None else config.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} has a bad value {value!r}") from exc
+
+
+def _float_pair(value) -> tuple[float, float]:
+    if isinstance(value, str):
+        raise TypeError("expected a pair of numbers")
+    p1, p2 = value
+    return float(p1), float(p2)
+
+
+def _input_path(config: dict) -> Path:
+    """The config's input file; reruns are only reproducible against the
+    identical input snapshot, so a recorded digest must still match."""
+    path = _typed(config, "data", Path)
     recorded = config.get("data_sha256")
-    if recorded and _input_digest(config["data"]) != recorded:
+    if recorded and _input_digest(path) != recorded:
         raise DataError(
-            f"input {config['data']} does not match the digest recorded in the "
+            f"input {path} does not match the digest recorded in the "
             "manifest; outputs would not be reproducible"
         )
+    return path
 
 
 def _read_xy(path):
@@ -98,19 +119,13 @@ def _read_xy(path):
     return x, y
 
 
-def _outdir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ----------------------------------------------------------------- runners
 # Each runner takes the resolved manifest config and the output directory,
 # so `rerun` can replay any manifest.
 
 def run_simulate(config: dict, out_dir: Path) -> list:
     scenario = scenario_config_from_dict(config["scenario"])
-    replicate = int(config.get("replicate", 0))
+    replicate = _typed(config, "replicate", int, 0)
     x, y = generate_dataset(scenario, replicate)
     write_csv(out_dir / "data.csv", ["x", "y"], np.column_stack([x, y]))
     return ["data.csv"]
@@ -146,7 +161,7 @@ def _summary_rows(result_rows):
 
 def run_scenario_cmd(config: dict, out_dir: Path) -> list:
     scenario = scenario_config_from_dict(config["scenario"])
-    methods = list(config["methods"])
+    methods = _typed(config, "methods", list)
     result = run_scenario(scenario, methods)
     outputs = []
 
@@ -171,12 +186,11 @@ def run_scenario_cmd(config: dict, out_dir: Path) -> list:
 
 def run_cv(config: dict, out_dir: Path) -> list:
     model = config_from_dict(ModelConfig, config["model"], "model config")
-    _check_input_digest(config)
-    x, y = _read_xy(config["data"])
-    method = config["method"]
+    method = _typed(config, "method", str)
     rect = model.rect if model.rect is not None else method_rectangle(method)
-    plan = CvPlan(rect=rect, n_samples=int(config["samples"]),
-                  n_folds=int(config["folds"]), seed=int(config["seed"]))
+    plan = CvPlan(rect=rect, n_samples=_typed(config, "samples", int),
+                  n_folds=_typed(config, "folds", int), seed=_typed(config, "seed", int))
+    x, y = _read_xy(_input_path(config))
     result = random_search_cv(model.spec(x), y, method, plan, model.optim)
     head, rows = cv_table(result)
     write_csv(out_dir / "cv.csv", head, rows)
@@ -185,12 +199,11 @@ def run_cv(config: dict, out_dir: Path) -> list:
 
 def run_fit(config: dict, out_dir: Path) -> list:
     model = config_from_dict(ModelConfig, config["model"], "model config")
-    _check_input_digest(config)
-    x, y = _read_xy(config["data"])
+    method = _typed(config, "method", str)
+    params = _typed(config, "params", _float_pair)
+    rng = substream(_typed(config, "seed", int), "fit")
+    x, y = _read_xy(_input_path(config))
     spec = model.spec(x)
-    method = config["method"]
-    params = (float(config["params"][0]), float(config["params"][1]))
-    rng = substream(int(config["seed"]), "fit")
     result = fit_method(spec, y, method, params, model.optim, rng)
     if result.diverged:
         raise NumericError("fit diverged: non-finite coefficients")
@@ -209,16 +222,15 @@ def run_fit(config: dict, out_dir: Path) -> list:
 
 
 def run_traffic(config: dict, out_dir: Path) -> list:
-    _check_input_digest(config)
-    data = read_traffic_csv(config["data"])
+    data = read_traffic_csv(_input_path(config))
     hours, counts = select_series(data, config["sensor"], config["direction"],
                                   summer_2019=bool(config.get("summer_2019", False)))
     optim = config_from_dict(OptimConfig, config.get("optim", {}), "optim")
     fit = fit_traffic_model(
-        hours, counts, config["noise"], int(config["samples"]),
-        int(config["folds"]), int(config["seed"]), optim,
-        mean_knots=int(config.get("mean_knots", 24)),
-        disp_knots=int(config.get("disp_knots", 12)),
+        hours, counts, _typed(config, "noise", str), _typed(config, "samples", int),
+        _typed(config, "folds", int), _typed(config, "seed", int), optim,
+        mean_knots=_typed(config, "mean_knots", int, 24),
+        disp_knots=_typed(config, "disp_knots", int, 12),
     )
     write_csv(out_dir / "fitted.csv", ["hour", "mean", "dispersion"],
               np.column_stack([fit.grid, fit.mean_curve, fit.disp_curve]))
@@ -237,7 +249,8 @@ _RUNNERS = {
 
 
 def _execute(command: str, config: dict, out_dir, seed) -> int:
-    out = _outdir(out_dir)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = _RUNNERS[command](config, out)
     write_manifest(out, command, config, seed, outputs)
     for name in outputs + [MANIFEST_NAME]:
@@ -247,25 +260,24 @@ def _execute(command: str, config: dict, out_dir, seed) -> int:
 
 # ------------------------------------------------------------ CLI commands
 
-def cmd_simulate(args) -> int:
+def _scenario_from_args(args):
     raw = load_json_config(args.config)
     if args.seed is not None:
-        raw = dict(raw)
-        raw["seed"] = args.seed
-    scenario = scenario_config_from_dict(raw)
+        raw = dict(raw, seed=args.seed)
+    return scenario_config_from_dict(raw)
+
+
+def cmd_simulate(args) -> int:
+    scenario = _scenario_from_args(args)
     config = {"scenario": dataclasses.asdict(scenario), "replicate": args.replicate}
     return _execute("simulate", config, args.out, scenario.seed)
 
 
 def cmd_scenario(args) -> int:
-    raw = load_json_config(args.config)
-    if args.seed is not None:
-        raw = dict(raw)
-        raw["seed"] = args.seed
-    scenario = scenario_config_from_dict(raw)
+    scenario = _scenario_from_args(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
-        raise ConfigError("no methods given; use --methods bernoulli,gaussian,pmle")
+        raise ConfigError(f"no methods given; use --methods {','.join(METHODS)}")
     for m in methods:
         method_rectangle(m)
     config = {"scenario": dataclasses.asdict(scenario), "methods": methods}
@@ -353,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="run the CV + replicates protocol")
     p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--methods", required=True,
-                   help="comma list from bernoulli,gaussian,pmle")
+                   help=f"comma list from {','.join(METHODS)}")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scenario)
@@ -361,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="random-search CV on a dataset file")
     p.add_argument("--data", required=True, help="dataset CSV with header x,y")
     p.add_argument("--config", required=True, help="model config JSON")
-    p.add_argument("--method", required=True,
-                   choices=["bernoulli", "gaussian", "pmle"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
@@ -372,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="single fit at fixed hyperparameters")
     p.add_argument("--data", required=True, help="dataset CSV with header x,y")
     p.add_argument("--config", required=True, help="model config JSON")
-    p.add_argument("--method", required=True,
-                   choices=["bernoulli", "gaussian", "pmle"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--params", required=True, help="hyperparameter pair 'p1,p2'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -384,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help=TRAFFIC_SCHEMA)
     p.add_argument("--sensor", required=True)
     p.add_argument("--direction", required=True, choices=["inbound", "outbound"])
-    p.add_argument("--noise", default="bernoulli", choices=["bernoulli", "gaussian"])
+    p.add_argument("--noise", default="bernoulli", choices=sorted(TRAFFIC_RECTS))
     p.add_argument("--samples", type=int, default=5000,
                    help="CV sample count (5000 in the full workflow)")
     p.add_argument("--folds", type=int, default=5)

@@ -32,15 +32,15 @@ class NoiseSpec:
 
     Bernoulli: xi_j = Bernoulli(1-delta)/(1-delta); E[xi] = 1 and
     V[xi] = delta/(1-delta).  Gaussian: xi_j ~ N(1, sigma^2).  The two sides
-    draw independently.
+    draw independently; a side whose parameter is 0 draws no noise.
     """
 
-    kind: str  # "none" | "bernoulli" | "gaussian"
+    kind: str  # "bernoulli" | "gaussian"
     mean_param: float = 0.0  # delta_mu (bernoulli) or sigma_mu (gaussian)
     disp_param: float = 0.0  # delta_gamma or sigma_gamma
 
     def __post_init__(self):
-        if self.kind not in ("none", "bernoulli", "gaussian"):
+        if self.kind not in ("bernoulli", "gaussian"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         if self.kind == "bernoulli":
             for p in (self.mean_param, self.disp_param):
@@ -54,7 +54,8 @@ class NoiseSpec:
 
     @staticmethod
     def none() -> "NoiseSpec":
-        return NoiseSpec(kind="none")
+        """No noise: Bernoulli dropout with probability 0 on both sides."""
+        return NoiseSpec.bernoulli(0.0)
 
     @staticmethod
     def bernoulli(delta_mean: float, delta_disp: float = 0.0) -> "NoiseSpec":
@@ -65,8 +66,6 @@ class NoiseSpec:
         return NoiseSpec(kind="gaussian", mean_param=sigma_mean, disp_param=sigma_disp)
 
     def _variance(self, param: float) -> float:
-        if self.kind == "none":
-            return 0.0
         if self.kind == "bernoulli":
             return param / (1.0 - param)
         return param**2
@@ -84,8 +83,6 @@ class NoiseSpec:
     def draw(self, side: str, shape, rng: np.random.Generator) -> np.ndarray:
         """Unit-mean noise draws; ``side`` is 'mean' or 'disp'."""
         param = self.mean_param if side == "mean" else self.disp_param
-        if self.kind == "none":
-            return np.ones(shape)
         if self.kind == "bernoulli":
             keep = 1.0 - param
             return (rng.random(shape) < keep).astype(float) / keep
@@ -108,7 +105,6 @@ class PenaltySnapshot:
 class McEstimate:
     value: float
     stderr: float
-    draws: int
 
 
 def _chunk_sizes(draws: int, per_draw: int, budget: int = 4_000_000):
@@ -125,12 +121,12 @@ def _per_draw_loglik(spec: GlmSpec, y, noise: NoiseSpec, size: int,
     """(size,) totals of the log-likelihood under fresh per-observation noise."""
     xb = spec.X * spec.beta  # (n, d_mu); theta~ = sum_j x_ij beta_j xi_ij
     za = spec.Z * spec.alpha
-    if noise.kind != "none" and noise.mean_param > 0:
+    if noise.mean_param > 0:
         xi = noise.draw("mean", (size,) + xb.shape, rng)
         theta = np.einsum("cnd,nd->cn", xi, xb)
     else:
         theta = np.broadcast_to(xb.sum(axis=1), (size, len(y)))
-    if noise.kind != "none" and noise.disp_param > 0:
+    if noise.disp_param > 0:
         zeta = noise.draw("disp", (size,) + za.shape, rng)
         eta = np.einsum("cnd,nd->cn", zeta, za)
     else:
@@ -154,7 +150,7 @@ def mc_dropout_objective(spec: GlmSpec, y, noise: NoiseSpec, draws: int,
     totals = -np.concatenate([_per_draw_loglik(spec, y, noise, size, rng)
                               for size in _chunk_sizes(draws, per_draw)])
     return McEstimate(value=float(totals.mean()),
-                      stderr=float(totals.std() / np.sqrt(draws)), draws=draws)
+                      stderr=float(totals.std() / np.sqrt(draws)))
 
 
 def exact_penalty_gap(spec: GlmSpec, noise: NoiseSpec, draws: int,

@@ -24,6 +24,10 @@ from scipy.special import expit, gammaln
 
 from .errors import ConfigError, DomainError, NumericError
 
+# Largest Poisson tail mass beyond the truncation cap that the discrete
+# tables accept; a fatter tail raises NumericError.
+TAIL_TOL = 1e-12
+
 
 def _poisson_cap(mean: float) -> int:
     # Keeps tail mass below ~1e-12 for every regime used in the simulations.
@@ -239,15 +243,6 @@ class DefParams:
         return self.phi / self.nu
 
 
-@dataclass(frozen=True)
-class DefNormalization:
-    """Exact normalizing constant and the truncation used to obtain it."""
-
-    constant: float
-    truncation: int | None
-    tail_mass: float
-
-
 def _unnormalized_logpmf(kernel, params: DefParams, grid: np.ndarray) -> np.ndarray:
     r = params.dispersion_scale
     return (
@@ -258,8 +253,8 @@ def _unnormalized_logpmf(kernel, params: DefParams, grid: np.ndarray) -> np.ndar
     )
 
 
-def _discrete_table(kernel, params: DefParams, tail_tol: float):
-    """(grid, normalized pmf, exact constant C, residual tail estimate)."""
+def _discrete_table(kernel, params: DefParams):
+    """(grid, normalized pmf, exact constant C) over the truncated support."""
     mean = float(kernel.b_prime(params.theta))
     grid = kernel.support_grid(mean)
     logq = _unnormalized_logpmf(kernel, params, grid)
@@ -267,7 +262,6 @@ def _discrete_table(kernel, params: DefParams, tail_tol: float):
     q = np.exp(logq - m)
     total = float(q.sum())
 
-    tail = 0.0
     if kernel.name == "poisson" and q[-1] > 0.0:
         # Geometric tail estimate from the last ratio; the pmf must be decaying
         # at the cap for the truncation to be trusted.  q[-1] == 0 means the
@@ -279,16 +273,16 @@ def _discrete_table(kernel, params: DefParams, tail_tol: float):
                 f"(theta={params.theta}, gamma={params.gamma}, last ratio={ratio:.3g})"
             )
         tail = float(q[-1] * ratio / (1.0 - ratio) / total)
-        if tail > tail_tol:
+        if tail > TAIL_TOL:
             raise NumericError(
-                f"poisson tail mass {tail:.3g} above tolerance {tail_tol:.3g} "
+                f"poisson tail mass {tail:.3g} above tolerance {TAIL_TOL:.3g} "
                 f"at cap {len(grid) - 1} (theta={params.theta}, gamma={params.gamma})"
             )
     constant = 1.0 / (total * np.exp(m))
-    return grid, q / total, constant, tail
+    return grid, q / total, constant
 
 
-def def_pmf(kernel, params: DefParams, tail_tol: float = 1e-12):
+def def_pmf(kernel, params: DefParams):
     """Exactly normalized pmf over the truncated support (discrete kernels).
 
     Returns (support values, probabilities); used by the sampler, the moment
@@ -296,44 +290,42 @@ def def_pmf(kernel, params: DefParams, tail_tol: float = 1e-12):
     """
     if not kernel.discrete:
         raise DomainError(f"{kernel.name} has no discrete pmf")
-    grid, p, _, _ = _discrete_table(kernel, params, tail_tol)
+    grid, p, _ = _discrete_table(kernel, params)
     return grid, p
 
 
-def def_normalizer(kernel, params: DefParams, tail_tol: float = 1e-12) -> DefNormalization:
+def def_normalizer(kernel, params: DefParams) -> float:
     """Exact normalizing constant C(gamma, theta).
 
     Gaussian: closed form (the DEF is exactly N(theta, (phi/nu)/gamma), so
     C = 1).  Discrete: reciprocal of the truncated sum of the unnormalized pmf.
     """
     if not kernel.discrete:
-        return DefNormalization(constant=1.0, truncation=None, tail_mass=0.0)
-    grid, _, constant, tail = _discrete_table(kernel, params, tail_tol)
-    return DefNormalization(constant=float(constant), truncation=len(grid) - 1,
-                            tail_mass=tail)
+        return 1.0
+    return float(_discrete_table(kernel, params)[2])
 
 
 def def_log_density(kernel, params: DefParams, y, normalized: bool = False):
     """log f_{gamma,theta}(y); with ``normalized`` off, uses the C = 1 convention."""
     out = _unnormalized_logpmf(kernel, params, kernel.check_support(y))
     if normalized:
-        out = out + np.log(def_normalizer(kernel, params).constant)
+        out = out + np.log(def_normalizer(kernel, params))
     return out
 
 
-def def_moments(kernel, params: DefParams, tail_tol: float = 1e-12):
+def def_moments(kernel, params: DefParams):
     """Exact (mean, variance) of the normalized DEF."""
     if not kernel.discrete:
         r = params.dispersion_scale
         return float(params.theta), float(r / params.gamma)
-    grid, p = def_pmf(kernel, params, tail_tol)
+    grid, p = def_pmf(kernel, params)
     mean = float(np.dot(p, grid))
     var = float(np.dot(p, (grid - mean) ** 2))
     return mean, var
 
 
-def def_sample(kernel, params: DefParams, rng: np.random.Generator, size: int,
-               tail_tol: float = 1e-12) -> np.ndarray:
+def def_sample(kernel, params: DefParams, rng: np.random.Generator,
+               size: int) -> np.ndarray:
     """i.i.d. draws from the exactly normalized DEF.
 
     Discrete kernels use inverse-CDF sampling over the truncated support;
@@ -342,7 +334,7 @@ def def_sample(kernel, params: DefParams, rng: np.random.Generator, size: int,
     if not kernel.discrete:
         sd = np.sqrt(params.dispersion_scale / params.gamma)
         return rng.normal(params.theta, sd, size)
-    grid, p = def_pmf(kernel, params, tail_tol)
+    grid, p = def_pmf(kernel, params)
     cdf = np.cumsum(p)
     u = rng.random(size)
     idx = np.searchsorted(cdf, u, side="right")
@@ -350,7 +342,7 @@ def def_sample(kernel, params: DefParams, rng: np.random.Generator, size: int,
 
 
 def def_sample_each(kernel, thetas, gammas, rng: np.random.Generator,
-                    phi: float = 1.0, nus=None, tail_tol: float = 1e-12) -> np.ndarray:
+                    phi: float = 1.0) -> np.ndarray:
     """One draw per observation with per-observation (theta, gamma).
 
     Vectorized Gaussian path; discrete kernels loop over observations with
@@ -358,19 +350,15 @@ def def_sample_each(kernel, thetas, gammas, rng: np.random.Generator,
     """
     thetas = np.asarray(thetas, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
-    if nus is None:
-        nus = np.ones_like(thetas)
-    nus = np.asarray(nus, dtype=float)
     if np.any(gammas <= 0):
         raise DomainError("gamma must be positive for every observation")
     if not kernel.discrete:
-        sd = np.sqrt((phi / nus) / gammas)
+        sd = np.sqrt(phi / gammas)
         return rng.normal(thetas, sd)
     out = np.empty_like(thetas)
     for i in range(len(thetas)):
-        params = DefParams(theta=float(thetas[i]), gamma=float(gammas[i]),
-                           phi=phi, nu=float(nus[i]))
-        out[i] = def_sample(kernel, params, rng, 1, tail_tol)[0]
+        params = DefParams(theta=float(thetas[i]), gamma=float(gammas[i]), phi=phi)
+        out[i] = def_sample(kernel, params, rng, 1)[0]
     return out
 
 

@@ -145,8 +145,6 @@ class ScoreReport:
     hess_bb: np.ndarray
     hess_ba: np.ndarray
     hess_aa: np.ndarray
-    w_beta: np.ndarray  # per-obs mean-block weight exp(z'a) b''(x'b) / (phi/nu)
-    w_alpha: np.ndarray  # per-obs dispersion-block Hessian weight
 
 
 def loglik_terms(kernel: FamilyKernel, theta, eta, y, scale) -> np.ndarray:
@@ -196,8 +194,6 @@ def score(spec: GlmSpec, y) -> ScoreReport:
         hess_bb=hess_bb,
         hess_ba=hess_ba,
         hess_aa=hess_aa,
-        w_beta=w_beta,
-        w_alpha=w_alpha,
     )
 
 

@@ -134,9 +134,8 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     state_b = AdadeltaState.zeros(X.shape[1])
     state_a = AdadeltaState.zeros(Z.shape[1])
 
-    use_noise = noise.kind != "none"
-    mean_noise = use_noise and noise.mean_param > 0
-    disp_noise = use_noise and noise.disp_param > 0
+    mean_noise = noise.mean_param > 0
+    disp_noise = noise.disp_param > 0
 
     # The returned estimate is the average of the trailing iterates: ADADELTA
     # steps do not vanish at an optimum, so the chain jitters (mini-batch

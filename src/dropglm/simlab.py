@@ -103,9 +103,11 @@ class ScenarioConfig:
             raise ConfigError(f"mean_index must be in {sorted(MEAN_FUNCTIONS)}")
         if self.disp_index not in DISPERSION_FUNCTIONS:
             raise ConfigError(f"disp_index must be in {sorted(DISPERSION_FUNCTIONS)}")
-        for name in ("n", "replicates", "kappa", "cv_folds", "cv_samples"):
+        for name in ("n", "replicates", "kappa", "cv_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.cv_folds < 2:
+            raise ConfigError("cv_folds must be at least 2")
         if self.mean_knots < 4 or self.disp_knots < 4:
             raise ConfigError("knot counts must be at least 4")
 
@@ -142,11 +144,10 @@ def method_rectangle(method: str):
     return rects[method]
 
 
-def generate_dataset(config: ScenarioConfig, replicate_index: int,
-                     rng: np.random.Generator | None = None):
-    """x ~ U[0,1]; y ~ DEF(mean f(x), dispersion g(x)) with scale phi."""
-    if rng is None:
-        rng = substream(config.seed, "data", replicate_index)
+def generate_dataset(config: ScenarioConfig, replicate_index: int):
+    """x ~ U[0,1]; y ~ DEF(mean f(x), dispersion g(x)) with scale phi, drawn
+    from the replicate's own substream."""
+    rng = substream(config.seed, "data", replicate_index)
     kernel = config.kernel()
     x = rng.random(config.n)
     mu = config.mean_function(x)
@@ -178,13 +179,11 @@ RESULT_COLUMNS = ["family", "scenario", "n", "method", "replicate",
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    config: ScenarioConfig
     rows: list
     cv_results: dict  # method -> CvResult
     grid: np.ndarray
     truth_mean: np.ndarray
     truth_disp: np.ndarray
-    divergent_fits: int
 
 
 def run_scenario(config: ScenarioConfig, methods) -> ScenarioResult:
@@ -202,12 +201,10 @@ def run_scenario(config: ScenarioConfig, methods) -> ScenarioResult:
     B_mean = design_matrix(mean_basis, grid)
     B_disp = design_matrix(disp_basis, grid)
 
-    datasets = [generate_dataset(config, m, substream(config.seed, "data", m))
-                for m in range(config.replicates + 1)]
+    datasets = [generate_dataset(config, m) for m in range(config.replicates + 1)]
 
     rows = []
     cv_results = {}
-    divergent_fits = 0
     for method in methods:
         plan = CvPlan(rect=method_rectangle(method), n_samples=config.cv_samples,
                       n_folds=config.cv_folds,
@@ -222,22 +219,18 @@ def run_scenario(config: ScenarioConfig, methods) -> ScenarioResult:
             spec = model.spec(x)
             rng = substream(config.seed, "fit", method, m)
             result = fit_method(spec, y, method, params, config.optim, rng)
-            if result.diverged:
-                diverged = True
-                r_mean = r_disp = float("nan")
-            else:
+            diverged = result.diverged
+            if not diverged:
                 est_mean, est_disp = fitted_curves(kernel, B_mean, B_disp,
                                                    result.beta, result.alpha)
                 r_mean = rmse(est_mean, truth_mean)
                 r_disp = rmse(est_disp, truth_disp)
                 diverged = not (np.isfinite(r_mean) and np.isfinite(r_disp)
                                 and max(r_mean, r_disp) < 1e8)
-                if diverged:
-                    r_mean = r_disp = float("nan")
-            divergent_fits += int(diverged)
+            if diverged:
+                r_mean = r_disp = float("nan")
             rows.append([config.family, config.disp_index, config.n, method, m,
                          r_mean, r_disp, params[0], params[1], int(diverged)])
 
-    return ScenarioResult(config=config, rows=rows, cv_results=cv_results,
-                          grid=grid, truth_mean=truth_mean, truth_disp=truth_disp,
-                          divergent_fits=divergent_fits)
+    return ScenarioResult(rows=rows, cv_results=cv_results, grid=grid,
+                          truth_mean=truth_mean, truth_disp=truth_disp)

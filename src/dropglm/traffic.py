@@ -134,8 +134,6 @@ def fit_traffic_model(hours, counts, noise_kind: str, cv_samples: int,
         raise ConfigError(f"traffic noise kind must be one of {sorted(TRAFFIC_RECTS)}")
     hours = np.asarray(hours, dtype=float) % 24.0
     counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
-        raise DataError("counts must be nonnegative integers")
     if len(hours) < cv_folds:
         raise DataError(f"need at least {cv_folds} observations, got {len(hours)}")
 

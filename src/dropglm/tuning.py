@@ -62,7 +62,6 @@ class CvResult:
     fold_logliks: np.ndarray  # (s, k) held-out log-likelihoods (-inf on divergence)
     mean_logliks: np.ndarray  # (s,)
     selected_index: int
-    divergent_folds: int
 
     @property
     def selected_params(self) -> tuple[float, float]:
@@ -131,7 +130,6 @@ def random_search_cv(spec: GlmSpec, y, method: str, plan: CvPlan,
     params = rect[:, 0] + draws * (rect[:, 1] - rect[:, 0])
 
     fold_logliks = np.empty((plan.n_samples, plan.n_folds))
-    divergent = 0
     for j in range(plan.n_samples):
         for f in range(plan.n_folds):
             train = np.flatnonzero(folds != f)
@@ -139,10 +137,7 @@ def random_search_cv(spec: GlmSpec, y, method: str, plan: CvPlan,
             rng = substream(plan.seed, "cvfit", j, f)
             result = fit_method(spec.rows(train), y[train], method, params[j],
                                 config, rng)
-            value = _heldout_loglik(spec, y, test, result)
-            if value == -np.inf:
-                divergent += 1
-            fold_logliks[j, f] = value
+            fold_logliks[j, f] = _heldout_loglik(spec, y, test, result)
 
     mean_logliks = np.where(
         np.all(np.isfinite(fold_logliks), axis=1), fold_logliks.mean(axis=1), -np.inf
@@ -152,8 +147,7 @@ def random_search_cv(spec: GlmSpec, y, method: str, plan: CvPlan,
                            "or scores a non-finite held-out log-likelihood")
     selected = int(np.argmax(mean_logliks))
     return CvResult(params=params, fold_logliks=fold_logliks,
-                    mean_logliks=mean_logliks, selected_index=selected,
-                    divergent_folds=divergent)
+                    mean_logliks=mean_logliks, selected_index=selected)
 
 
 def cv_table(result: CvResult):

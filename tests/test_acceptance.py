@@ -363,6 +363,7 @@ def _print_distributions(label, result, dists):
     print("---", flush=True)
 
 
+@pytest.mark.slow
 def test_criterion_10a_scenario1_direction():
     # Gaussian Scenario 1: CV-tuned Bernoulli dropout must not trail PMLE by
     # more than 10% in median dispersion RMSE (paper direction: dropout wins).
@@ -379,6 +380,7 @@ def test_criterion_10a_scenario1_direction():
     assert ok or med["bernoulli"] <= 1.25 * med["pmle"]
 
 
+@pytest.mark.slow
 def test_criterion_10b_scenario3_direction():
     # Gaussian Scenario 3 with the dispersion shape exactly as printed
     # (a smooth bump peaking near gamma ~ 104).  Gate: PMLE within 10% of

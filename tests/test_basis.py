@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dropglm.basis import build_basis, design_matrix, evaluate_effect
+from dropglm.basis import build_basis, design_matrix
 from dropglm.errors import ConfigError, DomainError
 
 
@@ -114,17 +114,12 @@ class TestDesignMatrix:
 class TestEvaluateEffect:
     def test_zero_coefficients(self):
         b = build_basis(0, 1, 10, "natural")
-        assert np.all(evaluate_effect(b, np.zeros(10), [0.2, 0.8]) == 0.0)
+        assert np.all(design_matrix(b, [0.2, 0.8]) @ np.zeros(10) == 0.0)
 
     def test_constant_function(self):
         b = build_basis(0, 1, 10, "natural")
-        vals = evaluate_effect(b, np.ones(10), np.linspace(0, 1, 77))
+        vals = design_matrix(b, np.linspace(0, 1, 77)) @ np.ones(10)
         assert np.max(np.abs(vals - 1.0)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        b = build_basis(0, 1, 10, "natural")
-        with pytest.raises(ConfigError):
-            evaluate_effect(b, np.ones(9), [0.5])
 
     def test_least_squares_fit_of_smooth_function(self):
         # f1 is smooth and well inside the span of 30 natural splines.
@@ -134,4 +129,4 @@ class TestEvaluateEffect:
         grid = np.linspace(0, 1, 501)
         D = design_matrix(b, grid)
         coef, *_ = np.linalg.lstsq(D, f1(grid), rcond=None)
-        assert np.max(np.abs(evaluate_effect(b, coef, grid) - f1(grid))) < 0.05
+        assert np.max(np.abs(D @ coef - f1(grid))) < 0.05

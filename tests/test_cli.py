@@ -34,6 +34,12 @@ def small_model(tmp_path: Path) -> str:
                          "optim": LEAN_OPTIM})
 
 
+# A fit manifest's config without its input file (the test adds "data").
+FIT_CONFIG = {"model": {"family": "gaussian", "mean_knots": 5, "disp_knots": 4,
+                        "optim": LEAN_OPTIM},
+              "method": "bernoulli", "params": [0.1, 0.1], "seed": 0}
+
+
 def scenario_payload(**overrides):
     payload = {"family": "gaussian", "disp_index": 1, "n": 60, "replicates": 2,
                "cv_samples": 2, "cv_folds": 2, "seed": 7, "optim": LEAN_OPTIM}
@@ -379,12 +385,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("manifest,named", [
         ({"command": "fit", "config": {}}, "'model'"),
         ({"command": "traffic", "config": {}}, "'data'"),
-        ({"command": "fit"}, "config")])
+        ({"command": "fit"}, "config"),
+        ({"command": "fit", "config": FIT_CONFIG | {"params": ["a", 0]}}, "'params'"),
+        ({"command": "fit", "config": FIT_CONFIG | {"params": 5}}, "'params'"),
+        ({"command": "fit", "config": FIT_CONFIG | {"seed": "x"}}, "'seed'"),
+        ({"command": "cv", "config": FIT_CONFIG | {"samples": "many", "folds": 2}},
+         "'samples'")])
     def test_rerun_of_malformed_config_exits_2(self, tmp_path, capsys, manifest,
                                                named):
+        if "model" in manifest.get("config", {}):
+            data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+            manifest = dict(manifest, config=dict(manifest["config"], data=data))
         path = write_config(tmp_path / "manifest.json", manifest)
         assert run_cli("rerun", path, "--out", str(tmp_path / "o")) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "scenario"])
+    def test_single_cv_fold_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "cfg.json", scenario_payload(cv_folds=1))
+        methods = ["--methods", "bernoulli"] if command == "scenario" else []
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, *methods, "--out", str(out)) == 2
+        assert "cv_folds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_rows_rejected_with_count(self, tmp_path):
         csv_path = tmp_path / "traffic.csv"

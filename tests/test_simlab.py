@@ -4,6 +4,7 @@ import pytest
 from dropglm import families as fam
 from dropglm.errors import ConfigError, DataError
 from dropglm.simlab import (
+    RESULT_COLUMNS,
     ScenarioConfig,
     f1,
     f2,
@@ -193,4 +194,4 @@ class TestRunScenario:
         result = run_scenario(cfg, ["bernoulli", "pmle"])
         table = np.array([[r[5], r[6]] for r in result.rows], dtype=float)
         assert np.all(np.isfinite(table))
-        assert result.divergent_fits == 0
+        assert not any(r[RESULT_COLUMNS.index("diverged")] for r in result.rows)
