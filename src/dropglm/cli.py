@@ -87,6 +87,19 @@ def _typed(config: dict, key: str, convert, default=None):
         raise ConfigError(f"config key {key!r} has a bad value {value!r}") from exc
 
 
+def _exactly(kind):
+    """A converter passing only values of type ``kind`` itself: no bool or 1.5
+    for an int, no "false" for a bool, no number for a string."""
+    def convert(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected a {kind.__name__}")
+        return value
+    return convert
+
+
+_INT, _BOOL, _STR, _LIST = map(_exactly, (int, bool, str, list))
+
+
 def _float_pair(value) -> tuple[float, float]:
     if isinstance(value, str):
         raise TypeError("expected a pair of numbers")
@@ -125,7 +138,7 @@ def _read_xy(path):
 
 def run_simulate(config: dict, out_dir: Path) -> list:
     scenario = scenario_config_from_dict(config["scenario"])
-    replicate = _typed(config, "replicate", int, 0)
+    replicate = _typed(config, "replicate", _INT, 0)
     x, y = generate_dataset(scenario, replicate)
     write_csv(out_dir / "data.csv", ["x", "y"], np.column_stack([x, y]))
     return ["data.csv"]
@@ -161,7 +174,7 @@ def _summary_rows(result_rows):
 
 def run_scenario_cmd(config: dict, out_dir: Path) -> list:
     scenario = scenario_config_from_dict(config["scenario"])
-    methods = _typed(config, "methods", list)
+    methods = _typed(config, "methods", _LIST)
     result = run_scenario(scenario, methods)
     outputs = []
 
@@ -186,10 +199,10 @@ def run_scenario_cmd(config: dict, out_dir: Path) -> list:
 
 def run_cv(config: dict, out_dir: Path) -> list:
     model = config_from_dict(ModelConfig, config["model"], "model config")
-    method = _typed(config, "method", str)
+    method = _typed(config, "method", _STR)
     rect = model.rect if model.rect is not None else method_rectangle(method)
-    plan = CvPlan(rect=rect, n_samples=_typed(config, "samples", int),
-                  n_folds=_typed(config, "folds", int), seed=_typed(config, "seed", int))
+    plan = CvPlan(rect=rect, n_samples=_typed(config, "samples", _INT),
+                  n_folds=_typed(config, "folds", _INT), seed=_typed(config, "seed", _INT))
     x, y = _read_xy(_input_path(config))
     result = random_search_cv(model.spec(x), y, method, plan, model.optim)
     head, rows = cv_table(result)
@@ -199,9 +212,9 @@ def run_cv(config: dict, out_dir: Path) -> list:
 
 def run_fit(config: dict, out_dir: Path) -> list:
     model = config_from_dict(ModelConfig, config["model"], "model config")
-    method = _typed(config, "method", str)
+    method = _typed(config, "method", _STR)
     params = _typed(config, "params", _float_pair)
-    rng = substream(_typed(config, "seed", int), "fit")
+    rng = substream(_typed(config, "seed", _INT), "fit")
     x, y = _read_xy(_input_path(config))
     spec = model.spec(x)
     result = fit_method(spec, y, method, params, model.optim, rng)
@@ -222,16 +235,17 @@ def run_fit(config: dict, out_dir: Path) -> list:
 
 
 def run_traffic(config: dict, out_dir: Path) -> list:
-    data = read_traffic_csv(_input_path(config))
-    hours, counts = select_series(data, config["sensor"], config["direction"],
-                                  summer_2019=bool(config.get("summer_2019", False)))
+    path = _input_path(config)
+    sensor, direction, noise = (_typed(config, key, _STR)
+                                for key in ("sensor", "direction", "noise"))
+    samples, folds, seed = (_typed(config, key, _INT) for key in ("samples", "folds", "seed"))
+    summer_2019 = _typed(config, "summer_2019", _BOOL, False)
+    knots = {key: _typed(config, key, _INT, default)
+             for key, default in (("mean_knots", 24), ("disp_knots", 12))}
     optim = config_from_dict(OptimConfig, config.get("optim", {}), "optim")
-    fit = fit_traffic_model(
-        hours, counts, _typed(config, "noise", str), _typed(config, "samples", int),
-        _typed(config, "folds", int), _typed(config, "seed", int), optim,
-        mean_knots=_typed(config, "mean_knots", int, 24),
-        disp_knots=_typed(config, "disp_knots", int, 12),
-    )
+    hours, counts = select_series(read_traffic_csv(path), sensor, direction,
+                                  summer_2019=summer_2019)
+    fit = fit_traffic_model(hours, counts, noise, samples, folds, seed, optim, **knots)
     write_csv(out_dir / "fitted.csv", ["hour", "mean", "dispersion"],
               np.column_stack([fit.grid, fit.mean_curve, fit.disp_curve]))
     head, rows = cv_table(fit.cv)

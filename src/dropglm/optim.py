@@ -2,9 +2,10 @@
 
 Each iteration samples a mini-batch without replacement, draws fresh dropout
 noise for the batch, evaluates the batch score at the perturbed features
-(equivalently the perturbed coefficients) and applies per-coordinate
-ADADELTA updates with separate accumulators for the mean and dispersion
-blocks.  The same engine also runs the penalized baseline: quadratic
+(equivalently the perturbed coefficients) and applies one ADADELTA update to
+the joint vector (beta, alpha): the recurrences act coordinate by coordinate,
+so one state gives the numbers of separate mean and dispersion states to the
+bit.  The same engine also runs the penalized baseline: quadratic
 coefficient penalties simply contribute their gradient to the score.
 
 Determinism contract: identical seeds, data and configs produce bitwise
@@ -89,6 +90,11 @@ def adadelta_step(state: AdadeltaState, grad: np.ndarray, rho: float,
     return step, AdadeltaState(avg_sq_grad, avg_sq_step)
 
 
+def _clamp(v: np.ndarray, bound: float) -> np.ndarray:
+    """``np.clip(v, -bound, bound)``, NaN included, at under half its cost."""
+    return np.minimum(np.maximum(v, -bound), bound)
+
+
 def warm_start_beta(spec: GlmSpec, y) -> np.ndarray:
     """Ridge-stabilized least squares of the link-transformed response."""
     kernel = spec.kernel
@@ -124,25 +130,26 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
 
     kernel = spec.kernel
     X, Z = spec.X, spec.Z
+    p = X.shape[1]
     r = spec.dispersion_scale
     sat = kernel.saturated_term(y)
+    # One row gather per batch serves every per-observation input.
+    data = np.column_stack([X, Z, y, r, sat])
     theta_clamp = _THETA_CLAMPS[kernel.name]
     scale = n / config.batch_size
 
-    beta = warm_start_beta(spec, y)
-    alpha = np.zeros(Z.shape[1])
-    state_b = AdadeltaState.zeros(X.shape[1])
-    state_a = AdadeltaState.zeros(Z.shape[1])
-
-    mean_noise = noise.mean_param > 0
-    disp_noise = noise.disp_param > 0
+    # One vector w = [beta; alpha]; beta and alpha are views into it.
+    w = np.concatenate([warm_start_beta(spec, y), np.zeros(Z.shape[1])])
+    beta, alpha = w[:p], w[p:]
+    state = AdadeltaState.zeros(w.size)
+    grad = np.empty(w.size)
 
     # The returned estimate is the average of the trailing iterates: ADADELTA
     # steps do not vanish at an optimum, so the chain jitters (mini-batch
     # noise) or limit-cycles symmetrically (stiff penalties); tail averaging
     # removes both.
     buf_len = min(config.avg_window, config.max_iters)
-    ring = np.empty((buf_len, X.shape[1] + Z.shape[1]))
+    ring = np.empty((buf_len, w.size))
 
     points_per_window = max(1, config.window // config.trace_every)
     trace_iters: list[int] = []
@@ -153,41 +160,34 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
 
     for it in range(1, config.max_iters + 1):
         idx = rng.choice(n, size=config.batch_size, replace=False)
-        Xb = X[idx]
-        Zb = Z[idx]
-        if mean_noise:
+        batch = data[idx]
+        Xb, Zb = batch[:, :p], batch[:, p:-3]
+        yb, rb, satb = batch[:, -3], batch[:, -2], batch[:, -1]
+        if noise.mean_param > 0:
             Xb = Xb * noise.draw("mean", Xb.shape, rng)
-        if disp_noise:
+        if noise.disp_param > 0:
             Zb = Zb * noise.draw("disp", Zb.shape, rng)
-        rb = r[idx]
-        yb = y[idx]
 
-        theta = np.clip(Xb @ beta, -theta_clamp, theta_clamp)
-        eta = np.clip(Zb @ alpha, -_ETA_CLAMP, _ETA_CLAMP)
-        gamma = np.exp(eta)
-        g_beta = scale * (Xb.T @ (gamma * (yb - kernel.b_prime(theta)) / rb))
-        gap = (yb * theta - kernel.b(theta) - sat[idx]) / rb
-        g_alpha = scale * (Zb.T @ (0.5 + gamma * gap))
+        theta = _clamp(Xb @ beta, theta_clamp)
+        gamma = np.exp(_clamp(Zb @ alpha, _ETA_CLAMP))
+        grad[:p] = Xb.T @ (gamma * (yb - kernel.b_prime(theta)) / rb)
+        gap = (yb * theta - kernel.b(theta) - satb) / rb
+        grad[p:] = Zb.T @ (0.5 + gamma * gap)
+        grad *= scale
         if penalty is not None:
-            pg_beta, pg_alpha = penalty.gradient(beta, alpha)
-            g_beta = g_beta - pg_beta
-            g_alpha = g_alpha - pg_alpha
+            grad -= np.concatenate(penalty.gradient(beta, alpha))
 
-        if not (np.all(np.isfinite(g_beta)) and np.all(np.isfinite(g_alpha))):
-            rejected += 1
+        if np.isfinite(grad).all():
+            step, state = adadelta_step(state, grad, config.rho, config.eps)
+            w += step
         else:
-            step_b, state_b = adadelta_step(state_b, g_beta, config.rho, config.eps)
-            step_a, state_a = adadelta_step(state_a, g_alpha, config.rho, config.eps)
-            beta = beta + step_b
-            alpha = alpha + step_a
-        slot = ring[(it - 1) % buf_len]
-        slot[: X.shape[1]] = beta
-        slot[X.shape[1] :] = alpha
+            rejected += 1
+        ring[(it - 1) % buf_len] = w
 
         if it % config.trace_every == 0:
             value = float(np.sum(loglik_terms(
-                kernel, np.clip(X @ beta, -theta_clamp, theta_clamp),
-                np.clip(Z @ alpha, -_ETA_CLAMP, _ETA_CLAMP), y, r)))
+                kernel, _clamp(X @ beta, theta_clamp), _clamp(Z @ alpha, _ETA_CLAMP),
+                y, r)))
             if penalty is not None:
                 value -= penalty.value(beta, alpha)
             trace_iters.append(it)
@@ -206,8 +206,8 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     rows = (np.arange(it - take, it)) % buf_len
     avg = ring[rows].mean(axis=0)
     return FitResult(
-        beta=avg[: X.shape[1]],
-        alpha=avg[X.shape[1] :],
+        beta=avg[:p],
+        alpha=avg[p:],
         n_iter=it,
         trace_iters=np.asarray(trace_iters, dtype=int),
         trace_loglik=np.asarray(trace_vals, dtype=float),

@@ -400,6 +400,31 @@ class TestExitCodes:
         assert run_cli("rerun", path, "--out", str(tmp_path / "o")) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "replicate", 1.5), ("simulate", "replicate", True),
+        ("cv", "samples", 2.5), ("cv", "folds", "2"), ("fit", "seed", True),
+        ("traffic", "summer_2019", "false"), ("traffic", "sensor", 5),
+        ("traffic", "direction", 5), ("traffic", "seed", 1.5),
+        ("traffic", "mean_knots", 6.5), ("traffic", "disp_knots", "4")])
+    def test_rerun_of_mistyped_value_exits_2(self, tmp_path, capsys, command, key,
+                                             value):
+        data = tmp_path / "data.csv"
+        if command == "simulate":
+            config = {"scenario": scenario_payload(), "replicate": 0}
+        elif command == "traffic":
+            make_traffic_csv(data, days=3)
+            config = {"data": str(data), "sensor": "W1", "direction": "inbound",
+                      "noise": "bernoulli", "samples": 1, "folds": 2, "seed": 0,
+                      "summer_2019": False, "mean_knots": 6, "disp_knots": 4,
+                      "optim": LEAN_OPTIM}
+        else:
+            config = FIT_CONFIG | {"data": write_xy(data, np.linspace(0, 1, 40)),
+                                   "samples": 2, "folds": 2}
+        path = write_config(tmp_path / "manifest.json",
+                            {"command": command, "config": config | {key: value}})
+        assert run_cli("rerun", path, "--out", str(tmp_path / "o")) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "scenario"])
     def test_single_cv_fold_exits_2(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path / "cfg.json", scenario_payload(cv_folds=1))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,9 @@ from dropglm.dropout import NoiseSpec
 from dropglm.errors import ConfigError
 from dropglm.model import GlmSpec, loglik, score
 from dropglm.optim import AdadeltaState, OptimConfig, adadelta_step, fit
+from dropglm.rngs import substream
+from dropglm.simlab import ScenarioConfig, generate_dataset
+from dropglm.tuning import fit_method
 
 
 def reference_adadelta(grads, rho, eps):
@@ -156,3 +161,61 @@ class TestFit:
                           for i in range(0, len(vals) - window, window)])
         drops = np.diff(means)
         assert drops.min() > -1e-3 * (1 + np.abs(means[:-1]).max())
+
+
+# ------------------------------------------------------------- bit-for-bit pin
+# Each case fits replicate 0 of a small scenario dataset and hashes every
+# FitResult field an output or a caller reads.  A refactor of ``fit`` must
+# leave these digests unchanged; they hold for one numpy/BLAS build.
+PIN_OPTIM = dict(batch_size=15, max_iters=400, window=20, trace_every=10,
+                 tol=3e-4, avg_window=100)
+PIN_CASES = {
+    # (family, method, params): (termination, digest); the comment gives
+    # n_iter and rejected_steps.
+    ("dbinomial", "bernoulli", (0.3, 0.2)): (  # 40, 0
+        "stationary", "717bd2f602e91f9f52b15b60b46568e5996e9b37e6813d815aa21c7c75fd615d"),
+    ("dbinomial", "gaussian", (0.0, 0.5)): (  # 40, 0
+        "stationary", "6f0befa4ad6011be2def403ad358747db5cea82c1b67ee5e270c76b53f435110"),
+    ("dbinomial", "pmle", (15000.0, 0.0)): (  # 390, 0
+        "stationary", "bec235ade97125402f74ad911ec0b5afd53617bbc39af9b61cd7948fabb88a74"),
+    ("dpoisson", "bernoulli", (0.3, 0.2)): (  # 400, 0
+        "max-iter", "af071558f163485df2ce0ede5cedfd0dd1f82c7490f7ce59f96c1173c4612464"),
+    ("dpoisson", "gaussian", (0.4, 0.3)): (  # 330, 0
+        "stationary", "ee6190ce5ad226cf6ad813a44853d46aa64e363c181e5adf6a93c625e1de1030"),
+    ("dpoisson", "pmle", (5000.0, 15000.0)): (  # 40, 0
+        "stationary", "b8310da6beb3f59d184fd297c68fe72c5faff53f30417840b7dcc9f2f88f4c5b"),
+    # Both noise sides at zero: no draw at all.
+    ("gaussian", "bernoulli", (0.0, 0.0)): (  # 400, 0
+        "max-iter", "11c2f8f1ae5497d3d507d708b5f6f89198ebedeac7455ffd96947849aa665fb2"),
+    ("gaussian", "bernoulli", (0.3, 0.2)): (  # 400, 0
+        "max-iter", "11ecb25c7fd7c0105a2d5abd6d969b3fa7b1c0e2324973370b09dab7cf2deff8"),
+    # Dispersion noise so wide that some batch scores overflow: rejected steps.
+    ("gaussian", "gaussian", (0.0, 1e307)): (  # 60, 15
+        "stationary", "5f2b95bc8dc932a2ac5c36dbbbb86766ee1e2b4c1aecb8761a3d8899f2792ce3"),
+    ("gaussian", "gaussian", (0.4, 0.3)): (  # 400, 0
+        "max-iter", "1b68bd5cbeda218794957cc5fbc9c0d70c284e659dd8ffb36a26dbe77871404c"),
+    ("gaussian", "pmle", (5000.0, 15000.0)): (  # 400, 0
+        "max-iter", "71e46e5fb25535e1f9c6ff335c81a92ed0dc0af22ded81845c40a9442d1c76ec"),
+    # A finite penalty gradient whose square overflows inside ADADELTA.
+    ("gaussian", "pmle", (1e308, 0.0)): (  # 40, 0
+        "stationary", "1b9eb7267f99960dd3c88c9507c2eabd47dc4316c697a6920844ffb910de6dd9"),
+}
+
+
+def _fit_digest(result) -> str:
+    h = hashlib.sha256()
+    for array in (result.beta, result.alpha, result.trace_iters,
+                  result.trace_loglik):
+        h.update(np.ascontiguousarray(array).tobytes())
+    h.update(f"{result.n_iter}|{result.termination}|{result.rejected_steps}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("family,method,params", sorted(PIN_CASES))
+def test_fit_is_pinned_bit_for_bit(family, method, params):
+    scenario = ScenarioConfig(family=family, n=60, mean_knots=10, disp_knots=8)
+    x, y = generate_dataset(scenario, 0)
+    result = fit_method(scenario.model.spec(x), y, method, params,
+                        OptimConfig(**PIN_OPTIM), substream(7, "pin", method))
+    assert (result.termination, _fit_digest(result)) == PIN_CASES[family, method, params]
