@@ -219,7 +219,7 @@ def run_fit(config: dict, out_dir: Path) -> list:
     spec = model.spec(x)
     result = fit_method(spec, y, method, params, model.optim, rng)
     if result.diverged:
-        raise NumericError("fit diverged: non-finite coefficients")
+        raise NumericError("fit diverged: non-finite coefficients or no step taken")
 
     grid = np.linspace(model.lo, model.hi, 501)
     mean_basis, disp_basis = model.bases()

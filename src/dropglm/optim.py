@@ -61,7 +61,8 @@ class FitResult:
 
     @property
     def diverged(self) -> bool:
-        return not (np.all(np.isfinite(self.beta)) and np.all(np.isfinite(self.alpha)))
+        finite = np.all(np.isfinite(self.beta)) and np.all(np.isfinite(self.alpha))
+        return not finite or self.rejected_steps == self.n_iter
 
 
 @dataclass
@@ -177,7 +178,8 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
         if penalty is not None:
             grad -= np.concatenate(penalty.gradient(beta, alpha))
 
-        if np.isfinite(grad).all():
+        # Also rejects a finite gradient whose square overflows in ADADELTA.
+        if np.isfinite(grad @ grad):
             step, state = adadelta_step(state, grad, config.rho, config.eps)
             w += step
         else:

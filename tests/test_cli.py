@@ -372,6 +372,16 @@ class TestExitCodes:
                        "--params", params, "--out", str(tmp_path / "o")) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_huge_pmle_weight_exits_4(self, tmp_path, capsys):
+        # The penalty gradient is finite but its square overflows, so no
+        # step can be taken: the fit diverges instead of returning its start.
+        data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 60))
+        model = small_model(tmp_path)
+        assert run_cli("fit", "--data", data, "--config", model, "--method", "pmle",
+                       "--params", "1e308,0", "--out", str(tmp_path / "o")) == 4
+        assert "diverged" in capsys.readouterr().err
+
     def test_non_finite_rect_exits_2(self, tmp_path, capsys):
         data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
         model = write_config(tmp_path / "model.json",

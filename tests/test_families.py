@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from dropglm import families as fam
 from dropglm.errors import DomainError, NumericError
 from dropglm.families import DefParams
+from dropglm.simlab import ScenarioConfig
 
 
 KERNELS = {
@@ -197,3 +200,41 @@ class TestSampling:
         gammas = rng.uniform(0.5, 2.0, 50)
         y = fam.def_sample_each(kernel, thetas, gammas, rng)
         assert np.all(kernel.in_support(y))
+
+    @pytest.mark.parametrize("n", [1000, 33])
+    @pytest.mark.parametrize("family,disp_index", [("dpoisson", 2), ("dbinomial", 3)])
+    def test_sample_each_matches_per_observation_loop(self, family, disp_index, n):
+        # n = 33 leaves a last table of one row.
+        config = ScenarioConfig(family=family, disp_index=disp_index, n=n)
+        kernel = config.kernel()
+        x = np.random.default_rng(n).random(n)
+        thetas = kernel.mean_to_theta(config.mean_function(x))
+        gammas = config.disp_function(x)
+        got = fam.def_sample_each(kernel, thetas, gammas, np.random.default_rng(8),
+                                  phi=config.phi)
+        # Reference: one pmf and one uniform per observation.
+        rng = np.random.default_rng(8)
+        expected = np.empty(n)
+        for i in range(n):
+            grid, p = fam.def_pmf(kernel, DefParams(theta=float(thetas[i]),
+                                                    gamma=float(gammas[i]), phi=config.phi))
+            idx = np.searchsorted(np.cumsum(p), rng.random(), side="right")
+            expected[i] = grid[min(idx, len(grid) - 1)]
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_sample_each_rejects_nan_and_zero_gamma(self, name, bad):
+        gammas = np.ones(40)
+        gammas[35] = bad
+        with pytest.raises(DomainError):
+            fam.def_sample_each(KERNELS[name], np.full(40, np.log(6.0)), gammas,
+                                np.random.default_rng(0))
+
+    def test_table_names_the_row_with_a_nonconvergent_tail(self):
+        thetas = np.full(10, np.log(5.0))
+        gammas = np.ones(10)
+        thetas[4], gammas[4] = np.log(50.0), 0.01
+        named = re.escape(f"theta={np.log(50.0)}, gamma=0.01")
+        with pytest.raises(NumericError, match=named):
+            fam.def_sample_each(fam.poisson(), thetas, gammas, np.random.default_rng(0))
