@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import GlmSpec, loglik_terms
+from .model import GlmSpec, fisher_weights, loglik_terms, score_terms
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class NoiseSpec:
 class PenaltySnapshot:
     """Diagonals of the closed-form penalty machinery (all length n or d)."""
 
-    W: np.ndarray          # n; gamma_i b''(theta_i) / (phi/nu_i)
+    W: np.ndarray          # n; gamma_i b''(theta_i) / phi
     Theta: np.ndarray      # d_mu; diag(X'WX)^{1/2}
     Gamma: np.ndarray      # d_gamma; diag(Z'Z)^{1/2}
     Lambda: np.ndarray     # n; exp(sigma_g^2 ||z_i . alpha||^2 / 2)
@@ -131,7 +131,7 @@ def _per_draw_loglik(spec: GlmSpec, y, noise: NoiseSpec, size: int,
         eta = np.einsum("cnd,nd->cn", zeta, za)
     else:
         eta = np.broadcast_to(za.sum(axis=1), (size, len(y)))
-    return loglik_terms(spec.kernel, theta, eta, y, spec.dispersion_scale).sum(axis=1)
+    return loglik_terms(spec.kernel, theta, eta, y, spec.phi).sum(axis=1)
 
 
 def mc_dropout_objective(spec: GlmSpec, y, noise: NoiseSpec, draws: int,
@@ -155,7 +155,7 @@ def mc_dropout_objective(spec: GlmSpec, y, noise: NoiseSpec, draws: int,
 
 def exact_penalty_gap(spec: GlmSpec, noise: NoiseSpec, draws: int,
                       rng: np.random.Generator):
-    """Per-observation MC estimates of gamma_i {E[b(x~'b)] - b(x'b)} / (phi/nu_i).
+    """Per-observation MC estimates of gamma_i {E[b(x~'b)] - b(x'b)} / phi.
 
     Mean-side noise only.  Returns (gaps, standard errors); each gap is
     nonnegative in expectation by Jensen's inequality.
@@ -180,18 +180,18 @@ def exact_penalty_gap(spec: GlmSpec, noise: NoiseSpec, draws: int,
         count += size
     mean = s1 / count
     var = np.maximum(s2 / count - mean**2, 0.0)
-    scale = spec.gamma / spec.dispersion_scale
+    scale = spec.gamma / spec.phi
     return scale * mean, scale * np.sqrt(var / count)
 
 
 def penalty_matrices(spec: GlmSpec, noise: NoiseSpec) -> PenaltySnapshot:
     """Closed-form penalty diagonals.
 
-    W_ii = gamma_i b''(theta_i)/(phi/nu_i); Theta = diag(X'WX)^{1/2};
+    W_ii = gamma_i b''(theta_i)/phi; Theta = diag(X'WX)^{1/2};
     Gamma = diag(Z'Z)^{1/2}; Lambda_ii = exp(sigma_g^2 ||z_i . alpha||^2 / 2);
     W~ = Lambda W; Theta~ = diag(X'W~X)^{1/2}.
     """
-    W = spec.gamma * spec.kernel.b_second(spec.theta) / spec.dispersion_scale
+    W = fisher_weights(spec)
     theta_diag = np.sqrt((spec.X**2 * W[:, None]).sum(axis=0))
     gamma_diag = np.sqrt((spec.Z**2).sum(axis=0))
     sg2 = noise.disp_variance
@@ -233,8 +233,7 @@ def penalized_objective(spec: GlmSpec, y, noise: NoiseSpec) -> float:
     snap = penalty_matrices(spec, noise)
     sm2 = noise.mean_variance
     sg2 = noise.disp_variance
-    value = -float(np.sum(loglik_terms(spec.kernel, spec.theta, eta, y,
-                                       spec.dispersion_scale)))
+    value = -float(np.sum(loglik_terms(spec.kernel, spec.theta, eta, y, spec.phi)))
     value += 0.5 * sm2 * float(np.sum((snap.Theta_tilde * spec.beta) ** 2))
     value += 0.25 * sg2 * float(np.sum((snap.Gamma * spec.alpha) ** 2))
     return value
@@ -246,32 +245,27 @@ def penalized_objective_grad(spec: GlmSpec, y, noise: NoiseSpec):
     Uses the exact cancellation of the (1/4) sigma_g^2 ||Gamma alpha||^2
     penalty against the matching term inside -l~_i, which leaves
 
-        F = sum_i [ -eta_i/2 - Eg_i (A_i - S_i)/r_i - S_i/r_i
-                    + (sigma_mu^2/2) Eg_i b''(theta_i) q_i / r_i ],
+        F = sum_i [ -eta_i/2 - Eg_i (A_i - S_i)/phi - S_i/phi
+                    + c_i b''(theta_i) q_i ],
 
-    with Eg_i = E[gamma~_i] and q_i = sum_j x_ij^2 beta_j^2.
+    with Eg_i = E[gamma~_i], c_i = (sigma_mu^2/2) Eg_i / phi and
+    q_i = sum_j x_ij^2 beta_j^2: the A_i terms have the score weights of
+    l_i at Eg_i in place of gamma_i.
     """
     y = spec.kernel.check_support(y)
     X, Z = spec.X, spec.Z
-    r = spec.dispersion_scale
     theta = spec.theta
     e_gamma = expected_noisy_dispersion(spec, noise)
-    sm2 = noise.mean_variance
-    sg2 = noise.disp_variance
+    u_beta, u_alpha = score_terms(spec.kernel, theta, e_gamma, y,
+                                  spec.kernel.saturated_term(y), spec.phi)
+    c = 0.5 * noise.mean_variance * e_gamma / spec.phi
     q = ((X * spec.beta) ** 2).sum(axis=1)
-    gap = (y * theta - spec.kernel.b(theta) - spec.kernel.saturated_term(y)) / r
-
     b2 = spec.kernel.b_second(theta)
-    common = (0.5 * sm2 * b2 * q / r - gap) * e_gamma
     # d Eg_i / d alpha = Eg_i (z_i + sigma_g^2 z_i^2 . alpha)
-    za_sens = Z + sg2 * (Z**2) * spec.alpha
-    grad_alpha = -0.5 * Z.sum(axis=0) + za_sens.T @ common
-
-    resid = (y - spec.kernel.b_prime(theta)) / r
-    b3 = spec.kernel.b_third(theta)
-    grad_beta = X.T @ (e_gamma * (-resid + 0.5 * sm2 * b3 * q / r)) + (
-        (X**2).T @ (e_gamma * b2 / r)
-    ) * (sm2 * spec.beta)
+    za_sens = Z + noise.disp_variance * (Z**2) * spec.alpha
+    grad_alpha = -0.5 * Z.sum(axis=0) + za_sens.T @ (c * b2 * q - (u_alpha - 0.5))
+    grad_beta = (X.T @ (c * spec.kernel.b_third(theta) * q - u_beta)
+                 + ((X**2).T @ (c * b2)) * (2.0 * spec.beta))
     return grad_beta, grad_alpha
 
 

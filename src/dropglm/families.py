@@ -1,13 +1,13 @@
 """Exponential-family kernels and double-exponential-family (DEF) densities.
 
 A natural EF in regression form has log-density
-``(theta*y - b(theta))/(phi/nu) + c(y, phi/nu)``.  The DEF extends it with a
+``(theta*y - b(theta))/phi + c(y, phi)``.  The DEF extends it with a
 dispersion parameter ``gamma > 0``:
 
     log f = log C + 0.5*log(gamma)
-            + gamma * (y*theta - b(theta)) / (phi/nu)
-            + (1 - gamma) * (y*theta(y) - b(theta(y))) / (phi/nu)
-            + c(y, phi/nu),
+            + gamma * (y*theta - b(theta)) / phi
+            + (1 - gamma) * (y*theta(y) - b(theta(y))) / phi
+            + c(y, phi),
 
 where ``theta(y)`` is the saturated natural parameter and ``C`` is the exact
 normalizing constant.  ``gamma < 1`` models overdispersion, ``gamma > 1``
@@ -42,7 +42,7 @@ class FamilyKernel:
 
     Subclasses provide b, its first three derivatives, the inverse mean map,
     the saturated term ``y*theta(y) - b(theta(y))`` (with the boundary
-    convention ``0*log(0) := 0``) and the base measure ``c(y, phi/nu)``.
+    convention ``0*log(0) := 0``) and the base measure ``c(y, phi)``.
     """
 
     name: str = "base"
@@ -68,7 +68,7 @@ class FamilyKernel:
         raise NotImplementedError
 
     def base_measure(self, y, scale):
-        """c(y, phi/nu)."""
+        """c(y, phi)."""
         raise NotImplementedError
 
     def in_support(self, y) -> np.ndarray:
@@ -88,7 +88,7 @@ class FamilyKernel:
 
 
 class GaussianKernel(FamilyKernel):
-    """b(theta) = theta^2/2, support R.  The DEF is exactly N(theta, (phi/nu)/gamma)."""
+    """b(theta) = theta^2/2, support R.  The DEF is exactly N(theta, phi/gamma)."""
 
     name = "gaussian"
     discrete = False
@@ -122,7 +122,7 @@ class GaussianKernel(FamilyKernel):
 
 
 class PoissonKernel(FamilyKernel):
-    """b(theta) = exp(theta), support {0, 1, 2, ...}, phi = nu = 1 in GLM use."""
+    """b(theta) = exp(theta), support {0, 1, 2, ...}, phi = 1 in GLM use."""
 
     name = "poisson"
     discrete = True
@@ -163,7 +163,7 @@ class PoissonKernel(FamilyKernel):
 
 
 class BinomialKernel(FamilyKernel):
-    """b(theta) = N*log(1 + exp(theta)), support {0, ..., N}, phi = nu = 1.
+    """b(theta) = N*log(1 + exp(theta)), support {0, ..., N}, phi = 1.
 
     The trial count is baked into b, so the base variance function is
     V(mu) = mu*(N - mu)/N.
@@ -173,7 +173,7 @@ class BinomialKernel(FamilyKernel):
     discrete = True
 
     def __init__(self, trials: int):
-        if int(trials) != trials or trials < 1:
+        if not (1 <= trials < np.inf and int(trials) == trials):
             raise DomainError(f"binomial: trials must be a positive integer, got {trials}")
         self.trials = int(trials)
 
@@ -226,24 +226,18 @@ class BinomialKernel(FamilyKernel):
 class DefParams:
     """Per-observation DEF parameters.
 
-    theta: natural parameter; gamma: dispersion (> 0); scale phi and known
-    weight nu enter only through phi/nu.
+    theta: natural parameter; gamma: dispersion (> 0); phi: scale (> 0).
     """
 
     theta: float
     gamma: float
     phi: float = 1.0
-    nu: float = 1.0
 
     def __post_init__(self):
         if not self.gamma > 0:
             raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if not self.phi / self.nu > 0:
-            raise DomainError(f"phi/nu must be positive, got {self.phi}/{self.nu}")
-
-    @property
-    def dispersion_scale(self) -> float:
-        return self.phi / self.nu
+        if not 0 < self.phi < np.inf:
+            raise DomainError(f"phi must be finite and positive, got {self.phi}")
 
 
 def _unnormalized_logpmf(kernel, theta, gamma, scale, y):
@@ -292,27 +286,25 @@ def def_pmf(kernel, params: DefParams):
     """
     if not kernel.discrete:
         raise DomainError(f"{kernel.name} has no discrete pmf")
-    grid, p, _ = _discrete_table(kernel, [params.theta], [params.gamma],
-                                 params.dispersion_scale)
+    grid, p, _ = _discrete_table(kernel, [params.theta], [params.gamma], params.phi)
     return grid, p[0]
 
 
 def def_normalizer(kernel, params: DefParams) -> float:
     """Exact normalizing constant C(gamma, theta).
 
-    Gaussian: closed form (the DEF is exactly N(theta, (phi/nu)/gamma), so
+    Gaussian: closed form (the DEF is exactly N(theta, phi/gamma), so
     C = 1).  Discrete: reciprocal of the truncated sum of the unnormalized pmf.
     """
     if not kernel.discrete:
         return 1.0
-    return float(_discrete_table(kernel, [params.theta], [params.gamma],
-                                 params.dispersion_scale)[2][0])
+    return float(_discrete_table(kernel, [params.theta], [params.gamma], params.phi)[2][0])
 
 
 def def_log_density(kernel, params: DefParams, y, normalized: bool = False):
     """log f_{gamma,theta}(y); with ``normalized`` off, uses the C = 1 convention."""
     out = _unnormalized_logpmf(kernel, params.theta, params.gamma,
-                               params.dispersion_scale, kernel.check_support(y))
+                               params.phi, kernel.check_support(y))
     if normalized:
         out = out + np.log(def_normalizer(kernel, params))
     return out
@@ -321,8 +313,7 @@ def def_log_density(kernel, params: DefParams, y, normalized: bool = False):
 def def_moments(kernel, params: DefParams):
     """Exact (mean, variance) of the normalized DEF."""
     if not kernel.discrete:
-        r = params.dispersion_scale
-        return float(params.theta), float(r / params.gamma)
+        return float(params.theta), float(params.phi / params.gamma)
     grid, p = def_pmf(kernel, params)
     mean = float(np.dot(p, grid))
     var = float(np.dot(p, (grid - mean) ** 2))
@@ -333,7 +324,7 @@ def def_sample(kernel, params: DefParams, rng: np.random.Generator,
                size: int) -> np.ndarray:
     """i.i.d. draws from the exactly normalized DEF (``def_sample_each``)."""
     return def_sample_each(kernel, np.full(size, params.theta), np.full(size, params.gamma),
-                           rng, phi=params.dispersion_scale)
+                           rng, phi=params.phi)
 
 
 def def_sample_each(kernel, thetas, gammas, rng: np.random.Generator,

@@ -2,15 +2,15 @@
 
 Mean model: canonical link, theta_i = x_i^T beta.  Dispersion model: log
 link, log gamma_i = z_i^T alpha.  The working log-likelihood uses the C = 1
-convention and drops the base-measure term c(y, phi/nu) (constant in beta and
+convention and drops the base-measure term c(y, phi) (constant in beta and
 alpha); pass ``include_base_measure=True`` where absolute values must be
 comparable, e.g. held-out evaluation.
 
 Per-observation term:
 
     l_i = 0.5 * z_i^T alpha
-          + exp(z_i^T alpha) * (y_i x_i^T beta - b(x_i^T beta)) / (phi/nu_i)
-          + (1 - exp(z_i^T alpha)) * (y_i theta(y_i) - b(theta(y_i))) / (phi/nu_i)
+          + exp(z_i^T alpha) * (y_i x_i^T beta - b(x_i^T beta)) / phi
+          + (1 - exp(z_i^T alpha)) * (y_i theta(y_i) - b(theta(y_i))) / phi
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class GlmSpec:
     beta: np.ndarray
     alpha: np.ndarray
     phi: float = 1.0
-    weights: np.ndarray | None = None  # known weights nu_i, default all ones
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -47,29 +46,16 @@ class GlmSpec:
             raise ConfigError(f"beta length {beta.shape} vs X columns {X.shape[1]}")
         if alpha.shape != (Z.shape[1],):
             raise ConfigError(f"alpha length {alpha.shape} vs Z columns {Z.shape[1]}")
-        w = self.weights
-        if w is None:
-            w = np.ones(X.shape[0])
-        else:
-            w = np.asarray(w, dtype=float)
-            if w.shape != (X.shape[0],):
-                raise ConfigError(f"weights length {w.shape} vs n {X.shape[0]}")
-        if self.phi <= 0 or np.any(w <= 0):
-            raise ConfigError("phi and all weights must be positive")
+        if not 0 < self.phi < np.inf:
+            raise ConfigError(f"phi must be finite and positive, got {self.phi}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def dispersion_scale(self) -> np.ndarray:
-        """phi / nu_i per observation."""
-        return self.phi / self.weights
 
     @property
     def theta(self) -> np.ndarray:
@@ -88,7 +74,7 @@ class GlmSpec:
                        alpha=np.asarray(alpha, dtype=float))
 
     def rows(self, idx) -> "GlmSpec":
-        return replace(self, X=self.X[idx], Z=self.Z[idx], weights=self.weights[idx])
+        return replace(self, X=self.X[idx], Z=self.Z[idx])
 
 
 @dataclass(frozen=True)
@@ -110,8 +96,11 @@ class SplineModel:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.boundary not in ("natural", "cyclic"):
             raise ConfigError(f"boundary must be natural|cyclic, got {self.boundary!r}")
-        if self.phi <= 0:
-            raise ConfigError("phi must be positive")
+        if not 0 < self.phi < np.inf:
+            raise ConfigError(f"phi must be finite and positive, got {self.phi}")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ConfigError(f"lo and hi must be finite, got [{self.lo}, {self.hi}]")
+        self.kernel()  # checks trials
 
     def kernel(self) -> FamilyKernel:
         return kernel_for(self.family, self.trials)
@@ -149,7 +138,7 @@ class ScoreReport:
 
 def loglik_terms(kernel: FamilyKernel, theta, eta, y, scale) -> np.ndarray:
     """Per-observation l_i at mean predictor theta and eta = log gamma
-    (C = 1 convention), with scale = phi/nu; broadcasts over arrays."""
+    (C = 1 convention), with scale = phi; broadcasts over arrays."""
     sat = kernel.saturated_term(y) / scale
     # gamma can overflow to inf under extreme alpha; 0 * inf is treated as 0
     # so that a saturated observation does not poison the total with NaN.
@@ -162,38 +151,43 @@ def loglik_terms(kernel: FamilyKernel, theta, eta, y, scale) -> np.ndarray:
 def loglik(spec: GlmSpec, y, include_base_measure: bool = False) -> float:
     """Sum of the per-observation terms l_i (C = 1 convention)."""
     y = spec.kernel.check_support(y)
-    r = spec.dispersion_scale
-    total = loglik_terms(spec.kernel, spec.theta, spec.log_gamma, y, r)
+    total = loglik_terms(spec.kernel, spec.theta, spec.log_gamma, y, spec.phi)
     if include_base_measure:
-        total = total + spec.kernel.base_measure(y, r)
+        total = total + spec.kernel.base_measure(y, spec.phi)
     return float(np.sum(total))
+
+
+def score_terms(kernel: FamilyKernel, theta, gamma, y, sat, scale):
+    """Per-observation score weights (u_beta, u_alpha) of l_i, with ``sat`` the
+    saturated term of y and scale = phi; the scores are X'u_beta and Z'u_alpha.
+
+    u_beta  = gamma (y - b'(theta)) / phi
+    u_alpha = 1/2 + gamma (y theta - b(theta) - sat) / phi
+    """
+    u_beta = gamma * (y - kernel.b_prime(theta)) / scale
+    u_alpha = 0.5 + gamma * ((y * theta - kernel.b(theta) - sat) / scale)
+    return u_beta, u_alpha
+
+
+def fisher_weights(spec: GlmSpec) -> np.ndarray:
+    """Fisher weights of the mean model, W_ii = gamma_i b''(theta_i) / phi."""
+    return spec.gamma * spec.kernel.b_second(spec.theta) / spec.phi
 
 
 def score(spec: GlmSpec, y) -> ScoreReport:
     """Analytic gradients and the four Hessian blocks."""
     y = spec.kernel.check_support(y)
     X, Z = spec.X, spec.Z
-    r = spec.dispersion_scale
-    gamma = spec.gamma
-    theta = spec.theta
-    resid = (y - spec.kernel.b_prime(theta)) / r
-    dev_gap = (y * theta - spec.kernel.b(theta) - spec.kernel.saturated_term(y)) / r
-
-    u_beta = gamma * resid
-    score_beta = X.T @ u_beta
-    score_alpha = Z.T @ (0.5 + gamma * dev_gap)
-
-    w_beta = gamma * spec.kernel.b_second(theta) / r
-    w_alpha = -gamma * dev_gap  # = gamma * (saturated - kernel deviance) / r >= 0
-    hess_bb = -(X * w_beta[:, None]).T @ X
-    hess_ba = (X * u_beta[:, None]).T @ Z
-    hess_aa = -(Z * w_alpha[:, None]).T @ Z
+    u_beta, u_alpha = score_terms(spec.kernel, spec.theta, spec.gamma, y,
+                                  spec.kernel.saturated_term(y), spec.phi)
+    # H_aa = -Z'diag(w_alpha)Z with w_alpha = 1/2 - u_alpha
+    #      = gamma * (saturated - kernel deviance) / phi >= 0
     return ScoreReport(
-        score_beta=score_beta,
-        score_alpha=score_alpha,
-        hess_bb=hess_bb,
-        hess_ba=hess_ba,
-        hess_aa=hess_aa,
+        score_beta=X.T @ u_beta,
+        score_alpha=Z.T @ u_alpha,
+        hess_bb=-(X * fisher_weights(spec)[:, None]).T @ X,
+        hess_ba=(X * u_beta[:, None]).T @ Z,
+        hess_aa=(Z * (u_alpha - 0.5)[:, None]).T @ Z,
     )
 
 
@@ -203,21 +197,19 @@ def fisher_blocks(spec: GlmSpec):
     The dispersion block uses the w_alpha ~ 1 approximation, under which the
     per-observation weight drops out.
     """
-    w = spec.gamma * spec.kernel.b_second(spec.theta) / spec.dispersion_scale
     n = spec.n
-    i_beta = (spec.X * w[:, None]).T @ spec.X / n
+    i_beta = (spec.X * fisher_weights(spec)[:, None]).T @ spec.X / n
     i_alpha = spec.Z.T @ spec.Z / n
     return i_beta, i_alpha
 
 
 def unit_deviance(spec: GlmSpec, y) -> np.ndarray:
-    """Per-observation EF deviance 2 * (saturated - kernel) / (phi/nu).
+    """Per-observation EF deviance 2 * (saturated - kernel) / phi.
 
     Its model expectation is approximately 1/gamma_i, which underlies the
     w_alpha ~ 1 approximation in :func:`fisher_blocks`.
     """
     y = spec.kernel.check_support(y)
-    r = spec.dispersion_scale
     theta = spec.theta
     sat = spec.kernel.saturated_term(y)
-    return 2.0 * (sat - (y * theta - spec.kernel.b(theta))) / r
+    return 2.0 * (sat - (y * theta - spec.kernel.b(theta))) / spec.phi

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dropout import NoiseSpec
 from .errors import ConfigError
-from .model import GlmSpec, loglik_terms
+from .model import GlmSpec, loglik_terms, score_terms
 
 # Safety clamps applied to linear predictors during fitting only; divergent
 # hyperparameters are expected under random-search CV and must not overflow.
@@ -38,15 +38,16 @@ class OptimConfig:
     eps: float = 1e-6           # ADADELTA stabilizer
     trace_every: int = 100
     avg_window: int = 2000      # tail-averaging window for the returned estimate
-    seed: int | None = None
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_iters < 1 or self.trace_every < 1:
             raise ConfigError("batch_size, max_iters and trace_every must be positive")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho must be in (0,1), got {self.rho}")
-        if self.eps <= 0 or self.tol <= 0 or self.window < 1 or self.avg_window < 1:
-            raise ConfigError("eps, tol, window and avg_window must be positive")
+        if not (0 < self.eps < np.inf and 0 < self.tol < np.inf):
+            raise ConfigError(f"eps and tol must be finite and positive: {self.eps}, {self.tol}")
+        if self.window < 1 or self.avg_window < 1:
+            raise ConfigError("window and avg_window must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def warm_start_beta(spec: GlmSpec, y) -> np.ndarray:
 
 
 def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
-        rng: np.random.Generator | None = None, penalty=None) -> FitResult:
+        rng: np.random.Generator, penalty=None) -> FitResult:
     """SGD ascent of the (noise-perturbed, optionally penalized) likelihood.
 
     ``penalty`` is an optional object with a ``gradient(beta, alpha)`` method
@@ -120,10 +121,6 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     ``value(beta, alpha)`` method entering the traced objective (used by the
     penalized-MLE baseline).
     """
-    if rng is None:
-        if config.seed is None:
-            raise ConfigError("fit needs an rng or a config seed")
-        rng = np.random.default_rng(config.seed)
     y = spec.kernel.check_support(y)
     n = spec.n
     if config.batch_size > n:
@@ -132,10 +129,10 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     kernel = spec.kernel
     X, Z = spec.X, spec.Z
     p = X.shape[1]
-    r = spec.dispersion_scale
+    phi = spec.phi
     sat = kernel.saturated_term(y)
     # One row gather per batch serves every per-observation input.
-    data = np.column_stack([X, Z, y, r, sat])
+    data = np.column_stack([X, Z, y, sat])
     theta_clamp = _THETA_CLAMPS[kernel.name]
     scale = n / config.batch_size
 
@@ -162,8 +159,8 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     for it in range(1, config.max_iters + 1):
         idx = rng.choice(n, size=config.batch_size, replace=False)
         batch = data[idx]
-        Xb, Zb = batch[:, :p], batch[:, p:-3]
-        yb, rb, satb = batch[:, -3], batch[:, -2], batch[:, -1]
+        Xb, Zb = batch[:, :p], batch[:, p:-2]
+        yb, satb = batch[:, -2], batch[:, -1]
         if noise.mean_param > 0:
             Xb = Xb * noise.draw("mean", Xb.shape, rng)
         if noise.disp_param > 0:
@@ -171,9 +168,9 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
 
         theta = _clamp(Xb @ beta, theta_clamp)
         gamma = np.exp(_clamp(Zb @ alpha, _ETA_CLAMP))
-        grad[:p] = Xb.T @ (gamma * (yb - kernel.b_prime(theta)) / rb)
-        gap = (yb * theta - kernel.b(theta) - satb) / rb
-        grad[p:] = Zb.T @ (0.5 + gamma * gap)
+        u_beta, u_alpha = score_terms(kernel, theta, gamma, yb, satb, phi)
+        grad[:p] = Xb.T @ u_beta
+        grad[p:] = Zb.T @ u_alpha
         grad *= scale
         if penalty is not None:
             grad -= np.concatenate(penalty.gradient(beta, alpha))
@@ -189,7 +186,7 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
         if it % config.trace_every == 0:
             value = float(np.sum(loglik_terms(
                 kernel, _clamp(X @ beta, theta_clamp), _clamp(Z @ alpha, _ETA_CLAMP),
-                y, r)))
+                y, phi)))
             if penalty is not None:
                 value -= penalty.value(beta, alpha)
             trace_iters.append(it)

@@ -73,7 +73,7 @@ def pmle_objective_grad(spec: GlmSpec, y, penalty: DiffPenalty):
 
 
 def pmle_fit(spec: GlmSpec, y, penalty: DiffPenalty, config: OptimConfig,
-             rng: np.random.Generator | None = None) -> FitResult:
+             rng: np.random.Generator) -> FitResult:
     """Minimize the penalized objective on the shared SGD engine."""
     if penalty.dim_mean != spec.X.shape[1] or penalty.dim_disp != spec.Z.shape[1]:
         raise ConfigError("penalty dimensions do not match the designs")

@@ -51,7 +51,10 @@ def write_csv(path, header, rows, comments=None) -> None:
 
 def read_csv(path):
     """(comment lines, header, rows-of-strings); comments keep their text."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     comments = []
     lines = text.splitlines()
     i = 0
@@ -61,8 +64,10 @@ def read_csv(path):
     body = lines[i:]
     if not body:
         raise DataError(f"{path}: missing header row")
-    reader = csv.reader(body)
-    parsed = list(reader)
+    try:
+        parsed = list(csv.reader(body))
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return comments, parsed[0], parsed[1:]
 
 
@@ -104,6 +109,8 @@ def load_json_config(path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -113,7 +120,9 @@ def load_json_config(path) -> dict:
 
 def config_from_dict(cls, data, context: str):
     """Build the config dataclass ``cls`` from a JSON object.  Unknown keys
-    are rejected and a nested ``optim`` object becomes an OptimConfig."""
+    are rejected, a nested ``optim`` object becomes an OptimConfig, and a
+    value the constructor rejects (its message names the key) is a
+    ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
     names = {f.name for f in dataclasses.fields(cls)}
@@ -125,7 +134,7 @@ def config_from_dict(cls, data, context: str):
         kwargs["optim"] = config_from_dict(OptimConfig, kwargs["optim"], "optim")
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 

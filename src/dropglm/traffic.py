@@ -72,30 +72,35 @@ def read_traffic_csv(path) -> TrafficData:
     path = Path(path)
     if not path.exists():
         raise DataError(f"traffic snapshot not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        lines = [ln for ln in handle if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    required = {"sensor", "direction", "date", "hour", "count"}
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
-        raise DataError(
-            f"traffic snapshot needs columns {sorted(required)}, "
-            f"got {reader.fieldnames}"
-        )
-    records = []
-    seen = set()
-    rejected = 0
-    for row in reader:
-        try:
-            rec = _parse_row(row)
-        except (ValueError, KeyError, TypeError):
-            rejected += 1
-            continue
-        key = (rec.sensor, rec.direction, rec.date, rec.hour)
-        if key in seen:
-            rejected += 1
-            continue
-        seen.add(key)
-        records.append(rec)
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            lines = [ln for ln in handle if not ln.startswith("#")]
+        reader = csv.DictReader(lines)
+        required = {"sensor", "direction", "date", "hour", "count"}
+        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+            raise DataError(
+                f"traffic snapshot needs columns {sorted(required)}, "
+                f"got {reader.fieldnames}"
+            )
+        records = []
+        seen = set()
+        rejected = 0
+        for row in reader:
+            try:
+                rec = _parse_row(row)
+            except (ValueError, KeyError, TypeError):
+                rejected += 1
+                continue
+            key = (rec.sensor, rec.direction, rec.date, rec.hour)
+            if key in seen:
+                rejected += 1
+                continue
+            seen.add(key)
+            records.append(rec)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return TrafficData(records=records, rejected=rejected)
 
 

@@ -400,7 +400,10 @@ class TestExitCodes:
         ({"command": "fit", "config": FIT_CONFIG | {"params": 5}}, "'params'"),
         ({"command": "fit", "config": FIT_CONFIG | {"seed": "x"}}, "'seed'"),
         ({"command": "cv", "config": FIT_CONFIG | {"samples": "many", "folds": 2}},
-         "'samples'")])
+         "'samples'"),
+        # Manifests written while OptimConfig had a seed field carry it as null.
+        ({"command": "fit", "config": FIT_CONFIG | {"model": FIT_CONFIG["model"] | {
+            "optim": LEAN_OPTIM | {"seed": None}}}}, "'seed'")])
     def test_rerun_of_malformed_config_exits_2(self, tmp_path, capsys, manifest,
                                                named):
         if "model" in manifest.get("config", {}):
@@ -434,6 +437,60 @@ class TestExitCodes:
                             {"command": command, "config": config | {key: value}})
         assert run_cli("rerun", path, "--out", str(tmp_path / "o")) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "traffic"])
+    @pytest.mark.parametrize("kind", ["not-utf8", "huge-field"])
+    def test_undecodable_or_oversized_data_exits_3(self, tmp_path, capsys, command,
+                                                   kind):
+        header, row = {"fit": (b"x,y\n", b"0.5,"),
+                       "traffic": (b"sensor,direction,date,hour,count\n",
+                                   b"W1,inbound,2019-06-01,3,")}[command]
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"\xff\xfe" + header if kind == "not-utf8"
+                         else header + row + b"1" * 200_000 + b"\n")
+        rest = (["--config", small_model(tmp_path), "--method", "bernoulli",
+                 "--params", "0.1,0.1"] if command == "fit"
+                else ["--sensor", "W1", "--direction", "inbound"])
+        assert run_cli(command, "--data", str(data), *rest,
+                       "--out", str(tmp_path / "o")) == 3
+        assert "data.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "rerun"])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'\xff\xfe{"family": "gaussian"}')
+        argv = {"fit": ["fit", "--data", write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40)),
+                        "--config", str(config), "--method", "bernoulli",
+                        "--params", "0.1,0.1"],
+                "simulate": ["simulate", "--config", str(config)],
+                "rerun": ["rerun", str(config)]}[command]
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,overrides,named", [
+        ("fit", {"phi": np.inf}, "phi"),
+        ("fit", {"phi": np.nan}, "phi"),
+        ("fit", {"hi": np.inf}, "hi"),
+        ("fit", {"optim": LEAN_OPTIM | {"tol": np.nan}}, "tol"),
+        ("fit", {"optim": LEAN_OPTIM | {"eps": np.inf}}, "eps"),
+        ("simulate", {"family": "dpoisson", "phi": np.inf}, "phi"),
+        ("simulate", {"family": "dbinomial", "trials": np.inf}, "trials"),
+        ("simulate", {"family": "dbinomial", "trials": np.nan}, "trials")])
+    def test_non_finite_config_number_exits_2(self, tmp_path, capsys, command,
+                                              overrides, named):
+        if command == "fit":
+            model = write_config(tmp_path / "model.json",
+                                 {"family": "gaussian", "mean_knots": 5,
+                                  "disp_knots": 4, "optim": LEAN_OPTIM} | overrides)
+            argv = ["fit", "--data", write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40)),
+                    "--config", model, "--method", "bernoulli", "--params", "0.1,0.1"]
+        else:
+            argv = ["simulate", "--config",
+                    write_config(tmp_path / "cfg.json", scenario_payload(**overrides))]
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "scenario"])
     def test_single_cv_fold_exits_2(self, tmp_path, capsys, command):

@@ -116,7 +116,7 @@ class TestExactPenaltyGap:
         noise = NoiseSpec.gaussian(0.5)
         gaps, ses = exact_penalty_gap(spec, noise, 100_000, np.random.default_rng(10))
         exact = (spec.gamma * 0.5 * noise.mean_variance
-                 * ((spec.X * spec.beta) ** 2).sum(axis=1) / spec.dispersion_scale)
+                 * ((spec.X * spec.beta) ** 2).sum(axis=1) / spec.phi)
         assert np.all(np.abs(gaps - exact) <= 3 * np.maximum(ses, 1e-12))
 
     def test_zero_noise_zero_gap(self):

@@ -117,7 +117,7 @@ class TestNormalizer:
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_gaussian_closed_form(self):
-        # With gamma = 2 and phi/nu = 1 the DEF is exactly N(theta, 0.5).
+        # With gamma = 2 and phi = 1 the DEF is exactly N(theta, 0.5).
         params = DefParams(theta=0.3, gamma=2.0)
         y = np.linspace(-2, 2, 9)
         got = fam.def_log_density(fam.gaussian(), params, y, normalized=True)

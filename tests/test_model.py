@@ -12,9 +12,7 @@ def random_spec(kernel, rng, n=8, dm=3, dg=2, phi=1.0):
     Z = rng.normal(size=(n, dg)) * 0.5
     beta = rng.normal(size=dm) * 0.3
     alpha = rng.normal(size=dg) * 0.2
-    weights = rng.uniform(0.5, 2.0, n) if kernel.name == "gaussian" else None
-    return GlmSpec(kernel=kernel, X=X, Z=Z, beta=beta, alpha=alpha, phi=phi,
-                   weights=weights)
+    return GlmSpec(kernel=kernel, X=X, Z=Z, beta=beta, alpha=alpha, phi=phi)
 
 
 def sample_response(spec, rng):
@@ -38,7 +36,7 @@ class TestLoglik:
         spec = spec.with_coefs(spec.beta, np.zeros_like(spec.alpha))
         y = sample_response(spec, rng)
         theta = spec.theta
-        expected = np.sum((y * theta - kernel.b(theta)) / spec.dispersion_scale)
+        expected = np.sum((y * theta - kernel.b(theta)) / spec.phi)
         assert loglik(spec, y) == pytest.approx(expected, abs=1e-12)
 
     def test_single_gaussian_hand_value(self):
@@ -58,9 +56,8 @@ class TestLoglik:
         total = 0.0
         for i in range(spec.n):
             params = DefParams(theta=float(spec.theta[i]),
-                               gamma=float(spec.gamma[i]), phi=spec.phi,
-                               nu=float(spec.weights[i]))
-            r = params.dispersion_scale
+                               gamma=float(spec.gamma[i]), phi=spec.phi)
+            r = spec.phi
             total += float(fam.def_log_density(kernel, params, y[i])
                            - kernel.base_measure(y[i], r))
         assert loglik(spec, y) == pytest.approx(total, abs=1e-12)
@@ -70,7 +67,7 @@ class TestLoglik:
         spec = random_spec(fam.poisson(), rng)
         y = sample_response(spec, rng)
         diff = loglik(spec, y, include_base_measure=True) - loglik(spec, y)
-        expected = float(np.sum(spec.kernel.base_measure(y, spec.dispersion_scale)))
+        expected = float(np.sum(spec.kernel.base_measure(y, spec.phi)))
         assert diff == pytest.approx(expected, abs=1e-10)
 
     def test_support_violation(self):
@@ -148,7 +145,7 @@ class TestScore:
         spec = random_spec(fam.poisson(), rng)
         y = sample_response(spec, rng)
         rep = score(spec, y)
-        w = spec.gamma * spec.kernel.b_second(spec.theta) / spec.dispersion_scale
+        w = spec.gamma * spec.kernel.b_second(spec.theta) / spec.phi
         expected = -sum(
             w[i] * np.outer(spec.X[i], spec.X[i]) for i in range(spec.n)
         )
