@@ -39,6 +39,7 @@ from .runio import (
 )
 from .simlab import (
     RESULT_COLUMNS,
+    ScenarioConfig,
     generate_dataset,
     method_rectangle,
     run_scenario,
@@ -76,50 +77,6 @@ def _input_digest(path) -> str:
         raise DataError(f"cannot read input {path}: {exc.strerror}") from exc
 
 
-def _typed(config: dict, key: str, convert, default=None):
-    """``convert`` applied to ``config[key]`` (to ``default`` where one is given
-    and the key is absent); a value it rejects is a configuration error that
-    names the key."""
-    value = config[key] if default is None else config.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} has a bad value {value!r}") from exc
-
-
-def _exactly(kind):
-    """A converter passing only values of type ``kind`` itself: no bool or 1.5
-    for an int, no "false" for a bool, no number for a string."""
-    def convert(value):
-        if type(value) is not kind:
-            raise TypeError(f"expected a {kind.__name__}")
-        return value
-    return convert
-
-
-_INT, _BOOL, _STR, _LIST = map(_exactly, (int, bool, str, list))
-
-
-def _float_pair(value) -> tuple[float, float]:
-    if isinstance(value, str):
-        raise TypeError("expected a pair of numbers")
-    p1, p2 = value
-    return float(p1), float(p2)
-
-
-def _input_path(config: dict) -> Path:
-    """The config's input file; reruns are only reproducible against the
-    identical input snapshot, so a recorded digest must still match."""
-    path = _typed(config, "data", Path)
-    recorded = config.get("data_sha256")
-    if recorded and _input_digest(path) != recorded:
-        raise DataError(
-            f"input {path} does not match the digest recorded in the "
-            "manifest; outputs would not be reproducible"
-        )
-    return path
-
-
 def _read_xy(path):
     _, header, rows = read_csv(path)
     if header != ["x", "y"]:
@@ -132,14 +89,96 @@ def _read_xy(path):
     return x, y
 
 
-# ----------------------------------------------------------------- runners
-# Each runner takes the resolved manifest config and the output directory,
-# so `rerun` can replay any manifest.
+# ------------------------------------------------------------- run configs
+# Each command's manifest config: `cmd_*` builds it from the flags, `rerun`
+# from the manifest with `config_from_dict`.
 
-def run_simulate(config: dict, out_dir: Path) -> list:
-    scenario = scenario_config_from_dict(config["scenario"])
-    replicate = _typed(config, "replicate", _INT, 0)
-    x, y = generate_dataset(scenario, replicate)
+class _Run:
+    """Seeds and replicate indices, where a run has them, are nonnegative."""
+
+    def __post_init__(self):
+        for name in ("seed", "replicate"):
+            if getattr(self, name, 0) < 0:
+                raise ConfigError(f"{name!r} must be nonnegative, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class SimulateRun(_Run):
+    scenario: ScenarioConfig
+    replicate: int = 0
+
+
+@dataclass(frozen=True)
+class ScenarioRun:
+    scenario: ScenarioConfig
+    methods: list
+
+    def __post_init__(self):
+        methods = self.methods
+        if not methods or any(m not in METHODS or methods.count(m) > 1 for m in methods):
+            raise ConfigError(f"'methods' must list distinct methods from {METHODS}, "
+                              f"got {methods}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class _InputRun(_Run):
+    data: str
+    seed: int
+    data_sha256: str = ""
+
+    def input_path(self) -> Path:
+        """The input file; reruns are only reproducible against the identical
+        input snapshot, so a recorded digest must still match."""
+        path = Path(self.data)
+        if self.data_sha256 and _input_digest(path) != self.data_sha256:
+            raise DataError(
+                f"input {path} does not match the digest recorded in the "
+                "manifest; outputs would not be reproducible"
+            )
+        return path
+
+
+@dataclass(frozen=True, kw_only=True)
+class CvRun(_InputRun):
+    model: ModelConfig
+    method: str
+    samples: int
+    folds: int
+
+
+@dataclass(frozen=True, kw_only=True)
+class FitRun(_InputRun):
+    model: ModelConfig
+    method: str
+    params: tuple
+
+    def __post_init__(self):
+        super().__post_init__()
+        if type(self.params) not in (list, tuple) or len(self.params) != 2 or any(
+                type(p) not in (int, float) for p in self.params):
+            raise ConfigError(f"'params' must be a pair of numbers, got {self.params!r}")
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
+
+
+@dataclass(frozen=True, kw_only=True)
+class TrafficRun(_InputRun):
+    sensor: str
+    direction: str
+    noise: str
+    samples: int
+    folds: int
+    summer_2019: bool = False
+    mean_knots: int = 24
+    disp_knots: int = 12
+    optim: OptimConfig = field(default_factory=OptimConfig)
+
+
+# ----------------------------------------------------------------- runners
+# Each runner takes its run config and the output directory, so `rerun` can
+# replay any manifest.
+
+def run_simulate(run: SimulateRun, out_dir: Path) -> list:
+    x, y = generate_dataset(run.scenario, run.replicate)
     write_csv(out_dir / "data.csv", ["x", "y"], np.column_stack([x, y]))
     return ["data.csv"]
 
@@ -172,10 +211,8 @@ def _summary_rows(result_rows):
     return header, out
 
 
-def run_scenario_cmd(config: dict, out_dir: Path) -> list:
-    scenario = scenario_config_from_dict(config["scenario"])
-    methods = _typed(config, "methods", _LIST)
-    result = run_scenario(scenario, methods)
+def run_scenario_cmd(run: ScenarioRun, out_dir: Path) -> list:
+    result = run_scenario(run.scenario, run.methods)
     outputs = []
 
     write_csv(out_dir / "results.csv", RESULT_COLUMNS, result.rows)
@@ -189,7 +226,7 @@ def run_scenario_cmd(config: dict, out_dir: Path) -> list:
     write_csv(out_dir / "truth.csv", ["x", "mean_truth", "disp_truth"], truth)
     outputs.append("truth.csv")
 
-    for method in methods:
+    for method in run.methods:
         head, rows = cv_table(result.cv_results[method])
         name = f"cv_{method}.csv"
         write_csv(out_dir / name, head, rows)
@@ -197,27 +234,23 @@ def run_scenario_cmd(config: dict, out_dir: Path) -> list:
     return outputs
 
 
-def run_cv(config: dict, out_dir: Path) -> list:
-    model = config_from_dict(ModelConfig, config["model"], "model config")
-    method = _typed(config, "method", _STR)
-    rect = model.rect if model.rect is not None else method_rectangle(method)
-    plan = CvPlan(rect=rect, n_samples=_typed(config, "samples", _INT),
-                  n_folds=_typed(config, "folds", _INT), seed=_typed(config, "seed", _INT))
-    x, y = _read_xy(_input_path(config))
-    result = random_search_cv(model.spec(x), y, method, plan, model.optim)
+def run_cv(run: CvRun, out_dir: Path) -> list:
+    model = run.model
+    rect = model.rect if model.rect is not None else method_rectangle(run.method)
+    plan = CvPlan(rect=rect, n_samples=run.samples, n_folds=run.folds, seed=run.seed)
+    x, y = _read_xy(run.input_path())
+    result = random_search_cv(model.spec(x), y, run.method, plan, model.optim)
     head, rows = cv_table(result)
     write_csv(out_dir / "cv.csv", head, rows)
     return ["cv.csv"]
 
 
-def run_fit(config: dict, out_dir: Path) -> list:
-    model = config_from_dict(ModelConfig, config["model"], "model config")
-    method = _typed(config, "method", _STR)
-    params = _typed(config, "params", _float_pair)
-    rng = substream(_typed(config, "seed", _INT), "fit")
-    x, y = _read_xy(_input_path(config))
+def run_fit(run: FitRun, out_dir: Path) -> list:
+    model = run.model
+    x, y = _read_xy(run.input_path())
     spec = model.spec(x)
-    result = fit_method(spec, y, method, params, model.optim, rng)
+    result = fit_method(spec, y, run.method, run.params, model.optim,
+                        substream(run.seed, "fit"))
     if result.diverged:
         raise NumericError("fit diverged: non-finite coefficients or no step taken")
 
@@ -234,18 +267,11 @@ def run_fit(config: dict, out_dir: Path) -> list:
     return ["curve.csv", "coefficients.csv"]
 
 
-def run_traffic(config: dict, out_dir: Path) -> list:
-    path = _input_path(config)
-    sensor, direction, noise = (_typed(config, key, _STR)
-                                for key in ("sensor", "direction", "noise"))
-    samples, folds, seed = (_typed(config, key, _INT) for key in ("samples", "folds", "seed"))
-    summer_2019 = _typed(config, "summer_2019", _BOOL, False)
-    knots = {key: _typed(config, key, _INT, default)
-             for key, default in (("mean_knots", 24), ("disp_knots", 12))}
-    optim = config_from_dict(OptimConfig, config.get("optim", {}), "optim")
-    hours, counts = select_series(read_traffic_csv(path), sensor, direction,
-                                  summer_2019=summer_2019)
-    fit = fit_traffic_model(hours, counts, noise, samples, folds, seed, optim, **knots)
+def run_traffic(run: TrafficRun, out_dir: Path) -> list:
+    hours, counts = select_series(read_traffic_csv(run.input_path()), run.sensor,
+                                  run.direction, summer_2019=run.summer_2019)
+    fit = fit_traffic_model(hours, counts, run.noise, run.samples, run.folds, run.seed,
+                            run.optim, run.mean_knots, run.disp_knots)
     write_csv(out_dir / "fitted.csv", ["hour", "mean", "dispersion"],
               np.column_stack([fit.grid, fit.mean_curve, fit.disp_curve]))
     head, rows = cv_table(fit.cv)
@@ -260,13 +286,15 @@ _RUNNERS = {
     "fit": run_fit,
     "traffic": run_traffic,
 }
+_RUN_TYPES = {"simulate": SimulateRun, "scenario": ScenarioRun, "cv": CvRun,
+              "fit": FitRun, "traffic": TrafficRun}
 
 
-def _execute(command: str, config: dict, out_dir, seed) -> int:
+def _execute(command: str, run, out_dir, seed) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[command](config, out)
-    write_manifest(out, command, config, seed, outputs)
+    outputs = _RUNNERS[command](run, out)
+    write_manifest(out, command, dataclasses.asdict(run), seed, outputs)
     for name in outputs + [MANIFEST_NAME]:
         print(out / name)
     return 0
@@ -282,33 +310,25 @@ def _scenario_from_args(args):
 
 
 def cmd_simulate(args) -> int:
-    scenario = _scenario_from_args(args)
-    config = {"scenario": dataclasses.asdict(scenario), "replicate": args.replicate}
-    return _execute("simulate", config, args.out, scenario.seed)
+    run = SimulateRun(_scenario_from_args(args), args.replicate)
+    return _execute("simulate", run, args.out, run.scenario.seed)
 
 
 def cmd_scenario(args) -> int:
-    scenario = _scenario_from_args(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ConfigError(f"no methods given; use --methods {','.join(METHODS)}")
-    for m in methods:
-        method_rectangle(m)
-    config = {"scenario": dataclasses.asdict(scenario), "methods": methods}
-    return _execute("scenario", config, args.out, scenario.seed)
+    run = ScenarioRun(_scenario_from_args(args), methods)
+    return _execute("scenario", run, args.out, run.scenario.seed)
 
 
-def _model_payload(args) -> dict:
+def _model_run(cls, args, **flags):
     model = config_from_dict(ModelConfig, load_json_config(args.config), "model config")
-    return {"model": dataclasses.asdict(model), "data": str(args.data),
-            "data_sha256": _input_digest(args.data)}
+    return cls(model=model, data=str(args.data), data_sha256=_input_digest(args.data),
+               method=args.method, seed=args.seed, **flags)
 
 
 def cmd_cv(args) -> int:
-    config = _model_payload(args)
-    config.update({"method": args.method, "samples": args.samples,
-                   "folds": args.folds, "seed": args.seed})
-    return _execute("cv", config, args.out, args.seed)
+    run = _model_run(CvRun, args, samples=args.samples, folds=args.folds)
+    return _execute("cv", run, args.out, args.seed)
 
 
 def cmd_fit(args) -> int:
@@ -316,48 +336,28 @@ def cmd_fit(args) -> int:
         p1, p2 = (float(v) for v in args.params.split(","))
     except ValueError as exc:
         raise ConfigError(f"--params must be 'p1,p2', got {args.params!r}") from exc
-    config = _model_payload(args)
-    config.update({"method": args.method, "params": [p1, p2], "seed": args.seed})
-    return _execute("fit", config, args.out, args.seed)
+    return _execute("fit", _model_run(FitRun, args, params=(p1, p2)), args.out, args.seed)
 
 
 def cmd_traffic(args) -> int:
     raw = load_json_config(args.config).get("optim", {}) if args.config else {}
-    optim = config_from_dict(OptimConfig, raw, "optim")
-    config = {
-        "data": str(args.data),
-        "data_sha256": _input_digest(args.data),
-        "sensor": args.sensor,
-        "direction": args.direction,
-        "noise": args.noise,
-        "samples": args.samples,
-        "folds": args.folds,
-        "seed": args.seed,
-        "summer_2019": bool(args.summer_2019),
-        "mean_knots": args.mean_knots,
-        "disp_knots": args.disp_knots,
-        "optim": dataclasses.asdict(optim),
-    }
-    return _execute("traffic", config, args.out, args.seed)
-
-
-class _ManifestConfig(dict):
-    """A manifest's config; a key its runner needs but lacks is a
-    configuration error, not a KeyError."""
-
-    def __missing__(self, key):
-        raise ConfigError(f"manifest config lacks the key {key!r}")
+    run = TrafficRun(
+        data=str(args.data), data_sha256=_input_digest(args.data), sensor=args.sensor,
+        direction=args.direction, noise=args.noise, samples=args.samples,
+        folds=args.folds, seed=args.seed, summer_2019=args.summer_2019,
+        mean_knots=args.mean_knots, disp_knots=args.disp_knots,
+        optim=config_from_dict(OptimConfig, raw, "optim"))
+    return _execute("traffic", run, args.out, args.seed)
 
 
 def cmd_rerun(args) -> int:
     manifest = load_json_config(args.manifest)
     command = manifest.get("command")
-    if command not in _RUNNERS:
+    if command not in _RUN_TYPES:
         raise ConfigError(f"manifest names unknown command {command!r}")
-    config = manifest.get("config")
-    if not isinstance(config, dict):
-        raise ConfigError(f"{args.manifest}: config must be a JSON object")
-    return _execute(command, _ManifestConfig(config), args.out, manifest.get("seed"))
+    run = config_from_dict(_RUN_TYPES[command], manifest.get("config"),
+                           f"{args.manifest}: config")
+    return _execute(command, run, args.out, manifest.get("seed"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--summer-2019", action="store_true", dest="summer_2019",
                    help="keep only June-August 2019 rows")
-    p.add_argument("--mean-knots", type=int, default=24)
-    p.add_argument("--disp-knots", type=int, default=12)
+    p.add_argument("--mean-knots", type=int, default=TrafficRun.mean_knots)
+    p.add_argument("--disp-knots", type=int, default=TrafficRun.disp_knots)
     p.add_argument("--config", default=None,
                    help="optional JSON with an 'optim' section")
     p.add_argument("--out", required=True)

@@ -14,14 +14,15 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
+import functools
 import hashlib
 import io
 import json
+import typing
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DataError
-from .optim import OptimConfig
 from .simlab import ScenarioConfig
 
 MANIFEST_NAME = "manifest.json"
@@ -118,20 +119,33 @@ def load_json_config(path) -> dict:
     return data
 
 
+# The JSON types each field annotation takes: no bool or 1.5 for an int, no
+# "false" for a bool, no number for a string.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
+               list: (list,)}
+
+# Field name -> resolved annotation of a config dataclass, once per class.
+field_types = functools.cache(typing.get_type_hints)
+
+
 def config_from_dict(cls, data, context: str):
-    """Build the config dataclass ``cls`` from a JSON object.  Unknown keys
-    are rejected, a nested ``optim`` object becomes an OptimConfig, and a
-    value the constructor rejects (its message names the key) is a
-    ConfigError."""
+    """Build the config dataclass ``cls`` from a JSON object.  Each value must
+    have its field's JSON type (a dataclass field is built from its nested
+    object), unknown keys are rejected, and every rejection is a ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    types = field_types(cls)
+    kwargs = {}
+    for key, value in data.items():
+        kind = types.get(key)
+        if dataclasses.is_dataclass(kind):
+            value = config_from_dict(kind, value, f"{context}: {key}")
+        elif kind in _JSON_TYPES and type(value) not in _JSON_TYPES[kind]:
+            raise ConfigError(f"{context}: {key!r} must be a JSON {kind.__name__}, got {value!r}")
+        kwargs[key] = value
+    unknown = sorted(set(data) - set(types))
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}; allowed: {sorted(names)}")
-    kwargs = dict(data)
-    if "optim" in kwargs:
-        kwargs["optim"] = config_from_dict(OptimConfig, kwargs["optim"], "optim")
+        raise ConfigError(f"{context}: unknown keys {unknown}; allowed: {sorted(types)}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -108,6 +108,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.mean_knots < 4 or self.disp_knots < 4:
             raise ConfigError("knot counts must be at least 4")
 
@@ -190,8 +192,6 @@ def run_scenario(config: ScenarioConfig, methods) -> ScenarioResult:
     """The full protocol: CV on replicate 1, fits on replicates 2..R+1,
     RMSE on the evaluation grid for mean (response scale) and dispersion
     (gamma scale)."""
-    for m in methods:
-        method_rectangle(m)
     model = config.model
     kernel = model.kernel()
     mean_basis, disp_basis = model.bases()

@@ -134,7 +134,7 @@ class TrafficFit:
 
 def fit_traffic_model(hours, counts, noise_kind: str, cv_samples: int,
                       cv_folds: int, seed: int, optim: OptimConfig,
-                      mean_knots: int = 24, disp_knots: int = 12) -> TrafficFit:
+                      mean_knots: int, disp_knots: int) -> TrafficFit:
     if noise_kind not in TRAFFIC_RECTS:
         raise ConfigError(f"traffic noise kind must be one of {sorted(TRAFFIC_RECTS)}")
     hours = np.asarray(hours, dtype=float) % 24.0

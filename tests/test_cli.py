@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -415,6 +416,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,key,value", [
         ("simulate", "replicate", 1.5), ("simulate", "replicate", True),
+        ("simulate", "replicate", -1),
+        ("scenario", "methods", []), ("scenario", "methods", ["lasso"]),
+        ("scenario", "methods", ["bernoulli", "bernoulli"]),
         ("cv", "samples", 2.5), ("cv", "folds", "2"), ("fit", "seed", True),
         ("traffic", "summer_2019", "false"), ("traffic", "sensor", 5),
         ("traffic", "direction", 5), ("traffic", "seed", 1.5),
@@ -424,6 +428,8 @@ class TestExitCodes:
         data = tmp_path / "data.csv"
         if command == "simulate":
             config = {"scenario": scenario_payload(), "replicate": 0}
+        elif command == "scenario":
+            config = {"scenario": scenario_payload(), "methods": ["bernoulli"]}
         elif command == "traffic":
             make_traffic_csv(data, days=3)
             config = {"data": str(data), "sensor": "W1", "direction": "inbound",
@@ -437,6 +443,7 @@ class TestExitCodes:
                             {"command": command, "config": config | {key: value}})
         assert run_cli("rerun", path, "--out", str(tmp_path / "o")) == 2
         assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["fit", "traffic"])
     @pytest.mark.parametrize("kind", ["not-utf8", "huge-field"])
@@ -467,17 +474,10 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
         assert "UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,overrides,named", [
-        ("fit", {"phi": np.inf}, "phi"),
-        ("fit", {"phi": np.nan}, "phi"),
-        ("fit", {"hi": np.inf}, "hi"),
-        ("fit", {"optim": LEAN_OPTIM | {"tol": np.nan}}, "tol"),
-        ("fit", {"optim": LEAN_OPTIM | {"eps": np.inf}}, "eps"),
-        ("simulate", {"family": "dpoisson", "phi": np.inf}, "phi"),
-        ("simulate", {"family": "dbinomial", "trials": np.inf}, "trials"),
-        ("simulate", {"family": "dbinomial", "trials": np.nan}, "trials")])
-    def test_non_finite_config_number_exits_2(self, tmp_path, capsys, command,
-                                              overrides, named):
+    @staticmethod
+    def assert_config_exits_2(tmp_path, capsys, command, overrides, named):
+        """A first run whose config carries ``overrides`` exits 2 naming
+        ``named`` and leaves no output directory."""
         if command == "fit":
             model = write_config(tmp_path / "model.json",
                                  {"family": "gaussian", "mean_knots": 5,
@@ -491,6 +491,85 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(out)) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,overrides,named", [
+        ("fit", {"phi": np.inf}, "phi"),
+        ("fit", {"phi": np.nan}, "phi"),
+        ("fit", {"hi": np.inf}, "hi"),
+        ("fit", {"optim": LEAN_OPTIM | {"tol": np.nan}}, "tol"),
+        ("fit", {"optim": LEAN_OPTIM | {"eps": np.inf}}, "eps"),
+        ("simulate", {"family": "dpoisson", "phi": np.inf}, "phi"),
+        ("simulate", {"family": "dbinomial", "trials": np.inf}, "trials"),
+        ("simulate", {"family": "dbinomial", "trials": np.nan}, "trials"),
+        ("fit", {"mean_knots": np.inf}, "'mean_knots'"),
+        ("fit", {"optim": LEAN_OPTIM | {"window": np.nan}}, "'window'"),
+        ("fit", {"optim": LEAN_OPTIM | {"max_iters": np.inf}}, "'max_iters'"),
+        ("simulate", {"kappa": np.inf}, "'kappa'")])
+    def test_non_finite_config_number_exits_2(self, tmp_path, capsys, command,
+                                              overrides, named):
+        self.assert_config_exits_2(tmp_path, capsys, command, overrides, named)
+
+    @pytest.mark.parametrize("command,overrides,named", [
+        ("fit", {"mean_knots": 5.5}, "'mean_knots'"),
+        ("fit", {"optim": LEAN_OPTIM | {"trace_every": 2.5}}, "'trace_every'"),
+        ("fit", {"optim": LEAN_OPTIM | {"batch_size": 2.5}}, "'batch_size'"),
+        ("fit", {"optim": LEAN_OPTIM | {"avg_window": 1.5}}, "'avg_window'"),
+        ("fit", {"optim": LEAN_OPTIM | {"rho": "0.9"}}, "'rho'"),
+        ("fit", {"boundary": 1}, "'boundary'"),
+        ("simulate", {"disp_index": True}, "'disp_index'"),
+        ("simulate", {"n": 40.5}, "'n'"),
+        ("simulate", {"mean_knots": 5.5}, "'mean_knots'"),
+        ("simulate", {"seed": -5}, "seed")])
+    def test_mistyped_or_negative_config_value_exits_2(self, tmp_path, capsys, command,
+                                                       overrides, named):
+        self.assert_config_exits_2(tmp_path, capsys, command, overrides, named)
+
+    @pytest.mark.parametrize("command,flags,named", [
+        ("simulate", ["--seed", "-1"], "seed"),
+        ("simulate", ["--replicate", "-1"], "'replicate'"),
+        ("scenario", ["--methods", "bernoulli,bernoulli"], "'methods'"),
+        ("scenario", ["--methods", ","], "'methods'"),
+        ("cv", ["--seed", "-2"], "'seed'"),
+        ("fit", ["--seed", "-1"], "'seed'"),
+        ("traffic", ["--seed", "-1"], "'seed'")])
+    def test_bad_flag_exits_2_before_output(self, tmp_path, capsys, command, flags,
+                                            named):
+        cfg = write_config(tmp_path / "cfg.json", scenario_payload())
+        if command == "traffic":
+            make_traffic_csv(tmp_path / "data.csv", days=3)
+        else:
+            write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+        data = ["--data", str(tmp_path / "data.csv")]
+        argv = {"simulate": ["--config", cfg],
+                "scenario": ["--config", cfg],
+                "cv": data + ["--config", small_model(tmp_path), "--method", "bernoulli",
+                              "--samples", "2", "--folds", "2"],
+                "fit": data + ["--config", small_model(tmp_path), "--method", "bernoulli",
+                               "--params", "0.1,0.1"],
+                "traffic": data + ["--sensor", "W1", "--direction", "inbound",
+                                   "--samples", "1", "--folds", "2"]}[command]
+        out = tmp_path / "o"
+        assert run_cli(command, *argv, *flags, "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_loaded_config_field_is_type_checked(self):
+        # A field the loader cannot check by its annotation must be checked by
+        # its class's __post_init__ and listed here.
+        from dropglm import cli
+        from dropglm.optim import OptimConfig
+        from dropglm.runio import _JSON_TYPES, field_types
+        from dropglm.simlab import ScenarioConfig
+
+        checked_in_post_init = {"rect", "params"}
+        loaded = (OptimConfig, ScenarioConfig, cli.ModelConfig, cli.SimulateRun,
+                  cli.ScenarioRun, cli.CvRun, cli.FitRun, cli.TrafficRun)
+        assert set(cli._RUN_TYPES.values()) <= set(loaded)
+        for cls in loaded:
+            for f in dataclasses.fields(cls):
+                kind = field_types(cls)[f.name]
+                assert (kind in _JSON_TYPES or dataclasses.is_dataclass(kind)
+                        or f.name in checked_in_post_init), (cls.__name__, f.name, kind)
 
     @pytest.mark.parametrize("command", ["simulate", "scenario"])
     def test_single_cv_fold_exits_2(self, tmp_path, capsys, command):

@@ -5,6 +5,9 @@ The runs cover ``simulate`` and ``scenario`` for each family, ``cv`` and
 here.  The optimiser settings let the stationarity stop fire, so the SGD
 trace values, not only the iterates, reach the outputs.
 
+Manifests in the exact form earlier versions wrote them (``WRITTEN``) must
+rerun to the same pinned outputs and write their config back unchanged.
+
 A refactor must leave these digests unchanged.  A deliberate change of
 outputs re-pins them and records the change in CHANGES.md (README
 "Reproducibility").  The digests hold for one numpy/BLAS build; a different
@@ -17,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from dropglm.cli import main
-from dropglm.runio import sha256_file
+from dropglm.runio import load_json_config, sha256_file
 
 OPTIM = {"batch_size": 20, "max_iters": 300, "window": 20, "trace_every": 10,
          "tol": 3e-4, "avg_window": 100}
@@ -76,6 +79,37 @@ GOLDEN = {
         "ef1614b660a912dface0520627aa552202d7c4caf596cc4e625d0d3d87b970a3",
     "traffic/fitted.csv":
         "6091bc4b29b4902de3a16858b971a492e0ac4570f80d808ef0ee91c1613feae5",
+}
+
+# Manifest configs of the golden runs as earlier versions wrote them, with
+# the input paths relative to the golden root.
+WRITTEN_OPTIM = {"avg_window": 100, "batch_size": 20, "eps": 1e-06, "max_iters": 300,
+                 "rho": 0.95, "tol": 0.0003, "trace_every": 10, "window": 20}
+WRITTEN_SCENARIO = {"cv_folds": 2, "cv_samples": 2, "disp_index": 2, "disp_knots": 20,
+                    "family": "dbinomial", "kappa": 500, "mean_index": 2,
+                    "mean_knots": 30, "n": 60, "optim": WRITTEN_OPTIM, "phi": 1.0,
+                    "replicates": 1, "seed": 11, "trials": 70}
+WRITTEN_MODEL = {"boundary": "natural", "disp_knots": 5, "family": "gaussian",
+                 "hi": 1.0, "lo": 0.0, "mean_knots": 8, "optim": WRITTEN_OPTIM,
+                 "phi": 1.0, "rect": None, "trials": 70}
+GAUSSIAN_DATA = {"data": "simulate-gaussian/data.csv",
+                 "data_sha256": GOLDEN["simulate-gaussian/data.csv"]}
+WRITTEN = {
+    "simulate-dbinomial": ("simulate", 11, {"replicate": 1,
+                                            "scenario": WRITTEN_SCENARIO}),
+    "scenario-dbinomial": ("scenario", 11, {"methods": ["bernoulli", "gaussian", "pmle"],
+                                            "scenario": WRITTEN_SCENARIO}),
+    "cv-pmle": ("cv", 3, GAUSSIAN_DATA | {"folds": 2, "method": "pmle",
+                                          "model": WRITTEN_MODEL, "samples": 2,
+                                          "seed": 3}),
+    "fit-pmle": ("fit", 3, GAUSSIAN_DATA | {"method": "pmle", "model": WRITTEN_MODEL,
+                                            "params": [3000.0, 1000.0], "seed": 3}),
+    "traffic": ("traffic", 5, {
+        "data": "traffic.csv",
+        "data_sha256": "2b61e7628e3359b0d61f946c706c329c6b2492782d3576ddaa9915342edecc99",
+        "direction": "inbound", "disp_knots": 4, "folds": 2, "mean_knots": 6,
+        "noise": "bernoulli", "optim": WRITTEN_OPTIM, "samples": 2, "seed": 5,
+        "sensor": "W1", "summer_2019": True}),
 }
 
 
@@ -140,3 +174,18 @@ def test_every_output_csv_is_pinned(outputs):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(outputs, name):
     assert sha256_file(outputs / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_written_manifest_reruns_to_pinned_outputs(outputs, tmp_path, name):
+    command, seed, config = WRITTEN[name]
+    if "data" in config:
+        config = config | {"data": str(outputs / config["data"])}
+    manifest = write_json(tmp_path / "manifest.json",
+                          {"command": command, "config": config, "seed": seed})
+    again = tmp_path / "again"
+    run("rerun", manifest, "--out", again)
+    pinned = {key.split("/")[1]: digest for key, digest in GOLDEN.items()
+              if key.startswith(f"{name}/")}
+    assert {p.name: sha256_file(p) for p in again.glob("*.csv")} == pinned
+    assert load_json_config(again / "manifest.json")["config"] == config
