@@ -6,8 +6,10 @@ dataset file), ``fit`` (one fit at fixed hyperparameters), ``traffic``
 (hourly traffic snapshot modelling) and ``rerun`` (re-execute a previous
 run from its manifest).
 
-Every run writes a ``manifest.json`` next to its outputs; rerunning from the
-manifest reproduces every output CSV byte for byte.  Exit codes: 0 success,
+Each command's run type (``COMMANDS``) computes its output tables, and
+``_execute`` alone writes them with a ``manifest.json`` into ``--out``; a run
+that fails leaves no ``--out`` behind.  Rerunning from the manifest
+reproduces every output CSV byte for byte.  Exit codes: 0 success,
 2 configuration error, 3 data error, 4 numeric failure.
 """
 
@@ -63,10 +65,10 @@ class ModelConfig(SplineModel):
         super().__post_init__()
         if self.rect is not None:
             try:
-                rect = ((float(self.rect[0][0]), float(self.rect[0][1])),
-                        (float(self.rect[1][0]), float(self.rect[1][1])))
-            except (TypeError, IndexError, ValueError) as exc:
-                raise ConfigError("model config: rect must be [[lo,hi],[lo,hi]]") from exc
+                (lo1, hi1), (lo2, hi2) = self.rect
+                rect = ((float(lo1), float(hi1)), (float(lo2), float(hi2)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("'rect' must be [[lo,hi],[lo,hi]]") from exc
             object.__setattr__(self, "rect", rect)
 
 
@@ -87,100 +89,6 @@ def _read_xy(path):
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed row: {exc}") from exc
     return x, y
-
-
-# ------------------------------------------------------------- run configs
-# Each command's manifest config: `cmd_*` builds it from the flags, `rerun`
-# from the manifest with `config_from_dict`.
-
-class _Run:
-    """Seeds and replicate indices, where a run has them, are nonnegative."""
-
-    def __post_init__(self):
-        for name in ("seed", "replicate"):
-            if getattr(self, name, 0) < 0:
-                raise ConfigError(f"{name!r} must be nonnegative, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class SimulateRun(_Run):
-    scenario: ScenarioConfig
-    replicate: int = 0
-
-
-@dataclass(frozen=True)
-class ScenarioRun:
-    scenario: ScenarioConfig
-    methods: list
-
-    def __post_init__(self):
-        methods = self.methods
-        if not methods or any(m not in METHODS or methods.count(m) > 1 for m in methods):
-            raise ConfigError(f"'methods' must list distinct methods from {METHODS}, "
-                              f"got {methods}")
-
-
-@dataclass(frozen=True, kw_only=True)
-class _InputRun(_Run):
-    data: str
-    seed: int
-    data_sha256: str = ""
-
-    def input_path(self) -> Path:
-        """The input file; reruns are only reproducible against the identical
-        input snapshot, so a recorded digest must still match."""
-        path = Path(self.data)
-        if self.data_sha256 and _input_digest(path) != self.data_sha256:
-            raise DataError(
-                f"input {path} does not match the digest recorded in the "
-                "manifest; outputs would not be reproducible"
-            )
-        return path
-
-
-@dataclass(frozen=True, kw_only=True)
-class CvRun(_InputRun):
-    model: ModelConfig
-    method: str
-    samples: int
-    folds: int
-
-
-@dataclass(frozen=True, kw_only=True)
-class FitRun(_InputRun):
-    model: ModelConfig
-    method: str
-    params: tuple
-
-    def __post_init__(self):
-        super().__post_init__()
-        if type(self.params) not in (list, tuple) or len(self.params) != 2 or any(
-                type(p) not in (int, float) for p in self.params):
-            raise ConfigError(f"'params' must be a pair of numbers, got {self.params!r}")
-        object.__setattr__(self, "params", tuple(map(float, self.params)))
-
-
-@dataclass(frozen=True, kw_only=True)
-class TrafficRun(_InputRun):
-    sensor: str
-    direction: str
-    noise: str
-    samples: int
-    folds: int
-    summer_2019: bool = False
-    mean_knots: int = 24
-    disp_knots: int = 12
-    optim: OptimConfig = field(default_factory=OptimConfig)
-
-
-# ----------------------------------------------------------------- runners
-# Each runner takes its run config and the output directory, so `rerun` can
-# replay any manifest.
-
-def run_simulate(run: SimulateRun, out_dir: Path) -> list:
-    x, y = generate_dataset(run.scenario, run.replicate)
-    write_csv(out_dir / "data.csv", ["x", "y"], np.column_stack([x, y]))
-    return ["data.csv"]
 
 
 def _summary_rows(result_rows):
@@ -211,91 +119,176 @@ def _summary_rows(result_rows):
     return header, out
 
 
-def run_scenario_cmd(run: ScenarioRun, out_dir: Path) -> list:
-    result = run_scenario(run.scenario, run.methods)
-    outputs = []
+# -------------------------------------------------------------------- runs
+# Each command's manifest config: `cmd_*` builds it from the flags, `rerun`
+# from the manifest with `config_from_dict`.  `tables()` computes the run's
+# output tables, {file name: (header, rows)} in output order, and touches no
+# file; `_execute` writes them.  `seed` is the manifest seed.
 
-    write_csv(out_dir / "results.csv", RESULT_COLUMNS, result.rows)
-    outputs.append("results.csv")
+class _Run:
+    """Seeds and replicate indices, where a run has them, are nonnegative."""
 
-    header, rows = _summary_rows(result.rows)
-    write_csv(out_dir / "summary.csv", header, rows)
-    outputs.append("summary.csv")
-
-    truth = np.column_stack([result.grid, result.truth_mean, result.truth_disp])
-    write_csv(out_dir / "truth.csv", ["x", "mean_truth", "disp_truth"], truth)
-    outputs.append("truth.csv")
-
-    for method in run.methods:
-        head, rows = cv_table(result.cv_results[method])
-        name = f"cv_{method}.csv"
-        write_csv(out_dir / name, head, rows)
-        outputs.append(name)
-    return outputs
+    def __post_init__(self):
+        for name in ("seed", "replicate"):
+            if getattr(self, name, 0) < 0:
+                raise ConfigError(f"{name!r} must be nonnegative, got {getattr(self, name)}")
 
 
-def run_cv(run: CvRun, out_dir: Path) -> list:
-    model = run.model
-    rect = model.rect if model.rect is not None else method_rectangle(run.method)
-    plan = CvPlan(rect=rect, n_samples=run.samples, n_folds=run.folds, seed=run.seed)
-    x, y = _read_xy(run.input_path())
-    result = random_search_cv(model.spec(x), y, run.method, plan, model.optim)
-    head, rows = cv_table(result)
-    write_csv(out_dir / "cv.csv", head, rows)
-    return ["cv.csv"]
+@dataclass(frozen=True)
+class SimulateRun(_Run):
+    scenario: ScenarioConfig
+    replicate: int = 0
+
+    seed = property(lambda self: self.scenario.seed)
+
+    def tables(self) -> dict:
+        x, y = generate_dataset(self.scenario, self.replicate)
+        return {"data.csv": (["x", "y"], np.column_stack([x, y]))}
 
 
-def run_fit(run: FitRun, out_dir: Path) -> list:
-    model = run.model
-    x, y = _read_xy(run.input_path())
-    spec = model.spec(x)
-    result = fit_method(spec, y, run.method, run.params, model.optim,
-                        substream(run.seed, "fit"))
-    if result.diverged:
-        raise NumericError("fit diverged: non-finite coefficients or no step taken")
+@dataclass(frozen=True)
+class ScenarioRun:
+    scenario: ScenarioConfig
+    methods: list
 
-    grid = np.linspace(model.lo, model.hi, 501)
-    mean_basis, disp_basis = model.bases()
-    mean_curve, disp_curve = fitted_curves(
-        spec.kernel, design_matrix(mean_basis, grid), design_matrix(disp_basis, grid),
-        result.beta, result.alpha)
-    write_csv(out_dir / "curve.csv", ["x", "mean", "dispersion"],
-              np.column_stack([grid, mean_curve, disp_curve]))
-    coef_rows = [["mean", j, v] for j, v in enumerate(result.beta)]
-    coef_rows += [["dispersion", j, v] for j, v in enumerate(result.alpha)]
-    write_csv(out_dir / "coefficients.csv", ["block", "index", "value"], coef_rows)
-    return ["curve.csv", "coefficients.csv"]
+    seed = property(lambda self: self.scenario.seed)
 
+    def __post_init__(self):
+        methods = self.methods
+        if not methods or any(m not in METHODS or methods.count(m) > 1 for m in methods):
+            raise ConfigError(f"'methods' must list distinct methods from {METHODS}, "
+                              f"got {methods}")
 
-def run_traffic(run: TrafficRun, out_dir: Path) -> list:
-    hours, counts = select_series(read_traffic_csv(run.input_path()), run.sensor,
-                                  run.direction, summer_2019=run.summer_2019)
-    fit = fit_traffic_model(hours, counts, run.noise, run.samples, run.folds, run.seed,
-                            run.optim, run.mean_knots, run.disp_knots)
-    write_csv(out_dir / "fitted.csv", ["hour", "mean", "dispersion"],
-              np.column_stack([fit.grid, fit.mean_curve, fit.disp_curve]))
-    head, rows = cv_table(fit.cv)
-    write_csv(out_dir / "cv.csv", head, rows)
-    return ["fitted.csv", "cv.csv"]
+    def tables(self) -> dict:
+        result = run_scenario(self.scenario, self.methods)
+        truth = np.column_stack([result.grid, result.truth_mean, result.truth_disp])
+        return {"results.csv": (RESULT_COLUMNS, result.rows),
+                "summary.csv": _summary_rows(result.rows),
+                "truth.csv": (["x", "mean_truth", "disp_truth"], truth),
+                **{f"cv_{m}.csv": cv_table(result.cv_results[m]) for m in self.methods}}
 
 
-_RUNNERS = {
-    "simulate": run_simulate,
-    "scenario": run_scenario_cmd,
-    "cv": run_cv,
-    "fit": run_fit,
-    "traffic": run_traffic,
-}
-_RUN_TYPES = {"simulate": SimulateRun, "scenario": ScenarioRun, "cv": CvRun,
-              "fit": FitRun, "traffic": TrafficRun}
+@dataclass(frozen=True, kw_only=True)
+class _InputRun(_Run):
+    data: str
+    seed: int
+    data_sha256: str = ""
+
+    def input_path(self) -> Path:
+        """The input file; reruns are only reproducible against the identical
+        input snapshot, so a recorded digest must still match."""
+        path = Path(self.data)
+        if self.data_sha256 and _input_digest(path) != self.data_sha256:
+            raise DataError(
+                f"input {path} does not match the digest recorded in the "
+                "manifest; outputs would not be reproducible"
+            )
+        return path
 
 
-def _execute(command: str, run, out_dir, seed) -> int:
+@dataclass(frozen=True, kw_only=True)
+class _ModelRun(_InputRun):
+    model: ModelConfig
+    method: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.method not in METHODS:
+            raise ConfigError(f"'method' must be one of {METHODS}, got {self.method!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class CvRun(_ModelRun):
+    samples: int
+    folds: int
+
+    def tables(self) -> dict:
+        model = self.model
+        rect = model.rect if model.rect is not None else method_rectangle(self.method)
+        plan = CvPlan(rect=rect, n_samples=self.samples, n_folds=self.folds,
+                      seed=self.seed)
+        x, y = _read_xy(self.input_path())
+        result = random_search_cv(model.spec(x), y, self.method, plan, model.optim)
+        return {"cv.csv": cv_table(result)}
+
+
+@dataclass(frozen=True, kw_only=True)
+class FitRun(_ModelRun):
+    params: tuple
+
+    def __post_init__(self):
+        super().__post_init__()
+        if type(self.params) not in (list, tuple) or len(self.params) != 2 or any(
+                type(p) not in (int, float) for p in self.params):
+            raise ConfigError(f"'params' must be a pair of numbers, got {self.params!r}")
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
+
+    def tables(self) -> dict:
+        model = self.model
+        x, y = _read_xy(self.input_path())
+        spec = model.spec(x)
+        result = fit_method(spec, y, self.method, self.params, model.optim,
+                            substream(self.seed, "fit"))
+        if result.diverged:
+            raise NumericError("fit diverged: non-finite coefficients or no step taken")
+
+        grid = np.linspace(model.lo, model.hi, 501)
+        mean_basis, disp_basis = model.bases()
+        mean_curve, disp_curve = fitted_curves(
+            spec.kernel, design_matrix(mean_basis, grid), design_matrix(disp_basis, grid),
+            result.beta, result.alpha)
+        coef_rows = [["mean", j, v] for j, v in enumerate(result.beta)]
+        coef_rows += [["dispersion", j, v] for j, v in enumerate(result.alpha)]
+        return {"curve.csv": (["x", "mean", "dispersion"],
+                              np.column_stack([grid, mean_curve, disp_curve])),
+                "coefficients.csv": (["block", "index", "value"], coef_rows)}
+
+
+@dataclass(frozen=True, kw_only=True)
+class TrafficRun(_InputRun):
+    sensor: str
+    direction: str
+    noise: str
+    samples: int
+    folds: int
+    summer_2019: bool = False
+    mean_knots: int = 24
+    disp_knots: int = 12
+    optim: OptimConfig = field(default_factory=OptimConfig)
+
+    def tables(self) -> dict:
+        hours, counts = select_series(read_traffic_csv(self.input_path()), self.sensor,
+                                      self.direction, summer_2019=self.summer_2019)
+        fit = fit_traffic_model(hours, counts, self.noise, self.samples, self.folds,
+                                self.seed, self.optim, self.mean_knots, self.disp_knots)
+        fitted = np.column_stack([fit.grid, fit.mean_curve, fit.disp_curve])
+        return {"fitted.csv": (["hour", "mean", "dispersion"], fitted),
+                "cv.csv": cv_table(fit.cv)}
+
+
+COMMANDS = {"simulate": SimulateRun, "scenario": ScenarioRun, "cv": CvRun,
+            "fit": FitRun, "traffic": TrafficRun}
+
+
+def _execute(command: str, run, out_dir) -> int:
+    """Create ``out_dir``, compute the run's tables and write them with the
+    manifest.  A run that fails leaves no directory this call created."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[command](run, out)
-    write_manifest(out, command, dataclasses.asdict(run), seed, outputs)
-    for name in outputs + [MANIFEST_NAME]:
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {out}: {exc.strerror}") from exc
+    try:
+        tables = run.tables()
+    except BaseException:
+        for d in created:
+            d.rmdir()
+        raise
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
+    write_manifest(out, command, dataclasses.asdict(run), run.seed, list(tables))
+    for name in [*tables, MANIFEST_NAME]:
         print(out / name)
     return 0
 
@@ -310,14 +303,13 @@ def _scenario_from_args(args):
 
 
 def cmd_simulate(args) -> int:
-    run = SimulateRun(_scenario_from_args(args), args.replicate)
-    return _execute("simulate", run, args.out, run.scenario.seed)
+    return _execute("simulate", SimulateRun(_scenario_from_args(args), args.replicate),
+                    args.out)
 
 
 def cmd_scenario(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    run = ScenarioRun(_scenario_from_args(args), methods)
-    return _execute("scenario", run, args.out, run.scenario.seed)
+    return _execute("scenario", ScenarioRun(_scenario_from_args(args), methods), args.out)
 
 
 def _model_run(cls, args, **flags):
@@ -328,7 +320,7 @@ def _model_run(cls, args, **flags):
 
 def cmd_cv(args) -> int:
     run = _model_run(CvRun, args, samples=args.samples, folds=args.folds)
-    return _execute("cv", run, args.out, args.seed)
+    return _execute("cv", run, args.out)
 
 
 def cmd_fit(args) -> int:
@@ -336,28 +328,31 @@ def cmd_fit(args) -> int:
         p1, p2 = (float(v) for v in args.params.split(","))
     except ValueError as exc:
         raise ConfigError(f"--params must be 'p1,p2', got {args.params!r}") from exc
-    return _execute("fit", _model_run(FitRun, args, params=(p1, p2)), args.out, args.seed)
+    return _execute("fit", _model_run(FitRun, args, params=(p1, p2)), args.out)
 
 
 def cmd_traffic(args) -> int:
-    raw = load_json_config(args.config).get("optim", {}) if args.config else {}
+    raw = load_json_config(args.config) if args.config else {}
+    unknown = sorted(set(raw) - {"optim"})
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown keys {unknown}; allowed: ['optim']")
     run = TrafficRun(
         data=str(args.data), data_sha256=_input_digest(args.data), sensor=args.sensor,
         direction=args.direction, noise=args.noise, samples=args.samples,
         folds=args.folds, seed=args.seed, summer_2019=args.summer_2019,
         mean_knots=args.mean_knots, disp_knots=args.disp_knots,
-        optim=config_from_dict(OptimConfig, raw, "optim"))
-    return _execute("traffic", run, args.out, args.seed)
+        optim=config_from_dict(OptimConfig, raw.get("optim", {}), "optim"))
+    return _execute("traffic", run, args.out)
 
 
 def cmd_rerun(args) -> int:
     manifest = load_json_config(args.manifest)
     command = manifest.get("command")
-    if command not in _RUN_TYPES:
+    if command not in COMMANDS:
         raise ConfigError(f"manifest names unknown command {command!r}")
-    run = config_from_dict(_RUN_TYPES[command], manifest.get("config"),
+    run = config_from_dict(COMMANDS[command], manifest.get("config"),
                            f"{args.manifest}: config")
-    return _execute(command, run, args.out, manifest.get("seed"))
+    return _execute(command, run, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

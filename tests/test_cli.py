@@ -273,14 +273,36 @@ class TestExitCodes:
         from dropglm import cli as cli_mod
         from dropglm.errors import NumericError
 
-        def boom(config, out_dir):
+        def boom(run):
             raise NumericError("synthetic numeric failure")
 
-        monkeypatch.setitem(cli_mod._RUNNERS, "simulate", boom)
+        monkeypatch.setattr(cli_mod.SimulateRun, "tables", boom)
+        cfg = write_config(tmp_path / "cfg.json", scenario_payload())
+        out = tmp_path / "new" / "o"
+        assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 4
+        assert "numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        # An --out that existed before the failed run is left as it was.
+        out.mkdir(parents=True)
+        (out / "keep.txt").write_text("kept")
+        assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 4
+        assert (out / "keep.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_out_that_cannot_be_created_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                target):
+        from dropglm import cli as cli_mod
+
+        def never(run):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(cli_mod.SimulateRun, "tables", never)
+        (tmp_path / "file").write_text("not a directory")
         cfg = write_config(tmp_path / "cfg.json", scenario_payload())
         assert run_cli("simulate", "--config", cfg,
-                       "--out", str(tmp_path / "o")) == 4
-        assert "numeric failure" in capsys.readouterr().err
+                       "--out", str(tmp_path / target)) == 2
+        assert "--out" in capsys.readouterr().err
+        assert (tmp_path / "file").read_text() == "not a directory"
 
     def test_unknown_sensor_exits_3_with_available_keys(self, tmp_path, capsys):
         csv_path = tmp_path / "traffic.csv"
@@ -324,7 +346,9 @@ class TestExitCodes:
         assert run_cli("rerun", str(out / "manifest.json"), "--out",
                        str(tmp_path / "r")) == 3
 
-    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
+    # The last two have a header but a malformed row.
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "x,y\n0.5\n",
+                                      "x,y\n0.5,abc\n"])
     def test_data_without_header_exits_3(self, tmp_path, text):
         data = tmp_path / "data.csv"
         data.write_text(text)
@@ -332,6 +356,7 @@ class TestExitCodes:
         assert run_cli("fit", "--data", str(data), "--config", model, "--method",
                        "bernoulli", "--params", "0.1,0.1",
                        "--out", str(tmp_path / "o")) == 3
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["cv", "fit"])
     def test_non_finite_x_exits_3(self, tmp_path, capsys, command):
@@ -372,6 +397,7 @@ class TestExitCodes:
         assert run_cli("fit", "--data", data, "--config", model, "--method", method,
                        "--params", params, "--out", str(tmp_path / "o")) == 2
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_huge_pmle_weight_exits_4(self, tmp_path, capsys):
@@ -422,7 +448,8 @@ class TestExitCodes:
         ("cv", "samples", 2.5), ("cv", "folds", "2"), ("fit", "seed", True),
         ("traffic", "summer_2019", "false"), ("traffic", "sensor", 5),
         ("traffic", "direction", 5), ("traffic", "seed", 1.5),
-        ("traffic", "mean_knots", 6.5), ("traffic", "disp_knots", "4")])
+        ("traffic", "mean_knots", 6.5), ("traffic", "disp_knots", "4"),
+        ("cv", "method", "lasso"), ("fit", "method", "lasso")])
     def test_rerun_of_mistyped_value_exits_2(self, tmp_path, capsys, command, key,
                                              value):
         data = tmp_path / "data.csv"
@@ -437,12 +464,15 @@ class TestExitCodes:
                       "summer_2019": False, "mean_knots": 6, "disp_knots": 4,
                       "optim": LEAN_OPTIM}
         else:
-            config = FIT_CONFIG | {"data": write_xy(data, np.linspace(0, 1, 40)),
-                                   "samples": 2, "folds": 2}
+            config = FIT_CONFIG | {"data": write_xy(data, np.linspace(0, 1, 40))}
+            if command == "cv":
+                del config["params"]
+                config |= {"samples": 2, "folds": 2}
         path = write_config(tmp_path / "manifest.json",
                             {"command": command, "config": config | {key: value}})
         assert run_cli("rerun", path, "--out", str(tmp_path / "o")) == 2
-        assert f"'{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "unknown keys" not in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["fit", "traffic"])
@@ -519,7 +549,9 @@ class TestExitCodes:
         ("simulate", {"disp_index": True}, "'disp_index'"),
         ("simulate", {"n": 40.5}, "'n'"),
         ("simulate", {"mean_knots": 5.5}, "'mean_knots'"),
-        ("simulate", {"seed": -5}, "seed")])
+        ("simulate", {"seed": -5}, "seed"),
+        ("fit", {"rect": [[0, 1], [0, 1], [5, 6]]}, "'rect'"),
+        ("fit", {"rect": [[0, 1]]}, "'rect'")])
     def test_mistyped_or_negative_config_value_exits_2(self, tmp_path, capsys, command,
                                                        overrides, named):
         self.assert_config_exits_2(tmp_path, capsys, command, overrides, named)
@@ -531,9 +563,12 @@ class TestExitCodes:
         ("scenario", ["--methods", ","], "'methods'"),
         ("cv", ["--seed", "-2"], "'seed'"),
         ("fit", ["--seed", "-1"], "'seed'"),
-        ("traffic", ["--seed", "-1"], "'seed'")])
-    def test_bad_flag_exits_2_before_output(self, tmp_path, capsys, command, flags,
-                                            named):
+        ("traffic", ["--seed", "-1"], "'seed'"),
+        # A traffic --config takes only an 'optim' section.
+        ("traffic", ["--config", "cfg.json"], "'family'")])
+    def test_bad_flag_exits_2_before_output(self, tmp_path, capsys, monkeypatch,
+                                            command, flags, named):
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "cfg.json", scenario_payload())
         if command == "traffic":
             make_traffic_csv(tmp_path / "data.csv", days=3)
@@ -564,7 +599,7 @@ class TestExitCodes:
         checked_in_post_init = {"rect", "params"}
         loaded = (OptimConfig, ScenarioConfig, cli.ModelConfig, cli.SimulateRun,
                   cli.ScenarioRun, cli.CvRun, cli.FitRun, cli.TrafficRun)
-        assert set(cli._RUN_TYPES.values()) <= set(loaded)
+        assert set(cli.COMMANDS.values()) <= set(loaded)
         for cls in loaded:
             for f in dataclasses.fields(cls):
                 kind = field_types(cls)[f.name]
@@ -613,3 +648,18 @@ class TestCsvRoundTrip:
 
         assert manifest["outputs"][0]["sha256"] == sha256_file(
             tmp_path / "o" / "data.csv")
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    @pytest.mark.parametrize("seed", [999, "banana"])
+    def test_rerun_records_the_seed_of_its_config(self, tmp_path, command, seed):
+        if command == "simulate":
+            config = {"scenario": scenario_payload(), "replicate": 0}
+            expected = scenario_payload()["seed"]
+        else:
+            data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+            config, expected = FIT_CONFIG | {"data": data}, FIT_CONFIG["seed"]
+        path = write_config(tmp_path / "manifest.json",
+                            {"command": command, "config": config, "seed": seed})
+        assert run_cli("rerun", path, "--out", str(tmp_path / "o")) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["seed"] == expected
