@@ -66,10 +66,13 @@ class ModelConfig(SplineModel):
         if self.rect is not None:
             try:
                 (lo1, hi1), (lo2, hi2) = self.rect
-                rect = ((float(lo1), float(hi1)), (float(lo2), float(hi2)))
             except (TypeError, ValueError) as exc:
                 raise ConfigError("'rect' must be [[lo,hi],[lo,hi]]") from exc
-            object.__setattr__(self, "rect", rect)
+            # JSON numbers only, as runio.config_from_dict takes for a float field.
+            if any(type(v) not in (int, float) for v in (lo1, hi1, lo2, hi2)):
+                raise ConfigError(f"'rect' entries must be JSON numbers, got {self.rect!r}")
+            object.__setattr__(self, "rect", ((float(lo1), float(hi1)),
+                                              (float(lo2), float(hi2))))
 
 
 def _input_digest(path) -> str:

@@ -81,7 +81,12 @@ class NoiseSpec:
         return self._variance(self.disp_param)
 
     def draw(self, side: str, shape, rng: np.random.Generator) -> np.ndarray:
-        """Unit-mean noise draws; ``side`` is 'mean' or 'disp'."""
+        """Unit-mean noise draws of any ``shape``; ``side`` is 'mean' or 'disp'.
+
+        Every entry is an independent draw, so leading axes beyond the
+        (rows, features) of one design may hold many draws at once, such as
+        one (batches, batch size, features) block per SGD epoch.
+        """
         param = self.mean_param if side == "mean" else self.disp_param
         if self.kind == "bernoulli":
             keep = 1.0 - param

@@ -1,15 +1,19 @@
 """Stochastic gradient ascent with ADADELTA step sizes.
 
-Each iteration samples a mini-batch without replacement, draws fresh dropout
-noise for the batch, evaluates the batch score at the perturbed features
-(equivalently the perturbed coefficients) and applies one ADADELTA update to
-the joint vector (beta, alpha): the recurrences act coordinate by coordinate,
-so one state gives the numbers of separate mean and dispersion states to the
-bit.  The same engine also runs the penalized baseline: quadratic
-coefficient penalties simply contribute their gradient to the score.
+The randomness is drawn once per epoch of ``n // batch_size`` iterations: one
+permutation of the rows, cut into the epoch's mini-batches (``epoch_batches``),
+then one block of dropout noise per noisy side covering every batch of the
+epoch.  Each iteration takes the next batch and its slice of the noise,
+evaluates the batch score at the perturbed features (equivalently the
+perturbed coefficients) and applies one ADADELTA update to the joint vector
+(beta, alpha): the recurrences act coordinate by coordinate, so one state
+gives the numbers of separate mean and dispersion states to the bit.  The
+same engine also runs the penalized baseline: quadratic coefficient
+penalties simply contribute their gradient to the score.
 
 Determinism contract: identical seeds, data and configs produce bitwise
-identical results.
+identical results, and the draws of a fit that stops early are a prefix of
+those of the same fit run longer.
 """
 
 from __future__ import annotations
@@ -112,6 +116,17 @@ def warm_start_beta(spec: GlmSpec, y) -> np.ndarray:
     return np.linalg.solve(X.T @ X + ridge * np.eye(X.shape[1]), X.T @ t)
 
 
+def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """One epoch's mini-batches, an ``(n // batch_size, batch_size)`` array.
+
+    Its rows are consecutive slices of one permutation of ``range(n)``, so
+    each batch samples rows without replacement and no row appears twice in
+    an epoch; the ``n % batch_size`` rows left over are dropped.
+    """
+    m = n // batch_size
+    return rng.permutation(n)[: m * batch_size].reshape(m, batch_size)
+
+
 def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
         rng: np.random.Generator, penalty=None) -> FitResult:
     """SGD ascent of the (noise-perturbed, optionally penalized) likelihood.
@@ -128,7 +143,7 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
 
     kernel = spec.kernel
     X, Z = spec.X, spec.Z
-    p = X.shape[1]
+    p, q = X.shape[1], Z.shape[1]
     phi = spec.phi
     sat = kernel.saturated_term(y)
     # One row gather per batch serves every per-observation input.
@@ -137,7 +152,7 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     scale = n / config.batch_size
 
     # One vector w = [beta; alpha]; beta and alpha are views into it.
-    w = np.concatenate([warm_start_beta(spec, y), np.zeros(Z.shape[1])])
+    w = np.concatenate([warm_start_beta(spec, y), np.zeros(q)])
     beta, alpha = w[:p], w[p:]
     state = AdadeltaState.zeros(w.size)
     grad = np.empty(w.size)
@@ -156,15 +171,25 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     termination = "max-iter"
     it = 0
 
+    per_epoch = n // config.batch_size
     for it in range(1, config.max_iters + 1):
-        idx = rng.choice(n, size=config.batch_size, replace=False)
-        batch = data[idx]
+        b = (it - 1) % per_epoch
+        if b == 0:
+            # Each epoch draws, in this order, its batches and then the whole
+            # epoch's noise for each noisy side, so the draws never depend on
+            # when the fit stops.
+            batches = epoch_batches(n, config.batch_size, rng)
+            if noise.mean_param > 0:
+                xi_mean = noise.draw("mean", batches.shape + (p,), rng)
+            if noise.disp_param > 0:
+                xi_disp = noise.draw("disp", batches.shape + (q,), rng)
+        batch = data[batches[b]]
         Xb, Zb = batch[:, :p], batch[:, p:-2]
         yb, satb = batch[:, -2], batch[:, -1]
         if noise.mean_param > 0:
-            Xb = Xb * noise.draw("mean", Xb.shape, rng)
+            Xb = Xb * xi_mean[b]
         if noise.disp_param > 0:
-            Zb = Zb * noise.draw("disp", Zb.shape, rng)
+            Zb = Zb * xi_disp[b]
 
         theta = _clamp(Xb @ beta, theta_clamp)
         gamma = np.exp(_clamp(Zb @ alpha, _ETA_CLAMP))

@@ -39,6 +39,9 @@ def small_model(tmp_path: Path) -> str:
 FIT_CONFIG = {"model": {"family": "gaussian", "mean_knots": 5, "disp_knots": 4,
                         "optim": LEAN_OPTIM},
               "method": "bernoulli", "params": [0.1, 0.1], "seed": 0}
+# The same for a cv manifest.
+CV_CONFIG = {"model": FIT_CONFIG["model"], "method": "bernoulli", "samples": 2,
+             "folds": 2, "seed": 0}
 
 
 def scenario_payload(**overrides):
@@ -413,11 +416,27 @@ class TestExitCodes:
         data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
         model = write_config(tmp_path / "model.json",
                              {"family": "gaussian", "mean_knots": 5, "disp_knots": 4,
-                              "rect": [[0, "nan"], [0, 1]], "optim": LEAN_OPTIM})
+                              "rect": [[0, float("nan")], [0, 1]],
+                              "optim": LEAN_OPTIM})
+        assert "NaN" in Path(model).read_text()
         assert run_cli("cv", "--data", data, "--config", model, "--method",
                        "gaussian", "--samples", "2", "--folds", "2",
                        "--out", str(tmp_path / "o")) == 2
         assert "rectangle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rect", [[["0", "0.5"], [True, "1"]],
+                                      [[0, "0.5"], [0, 1]], [[0, 0.5], [True, 1]]])
+    def test_string_or_bool_rect_exits_2(self, tmp_path, capsys, rect):
+        data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+        model = write_config(tmp_path / "model.json",
+                             {"family": "gaussian", "mean_knots": 5, "disp_knots": 4,
+                              "rect": rect, "optim": LEAN_OPTIM})
+        out = tmp_path / "o"
+        assert run_cli("cv", "--data", data, "--config", model, "--method",
+                       "gaussian", "--samples", "2", "--folds", "2",
+                       "--out", str(out)) == 2
+        assert "'rect' entries must be JSON numbers" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("manifest,named", [
         ({"command": "fit", "config": {}}, "'model'"),
@@ -426,8 +445,10 @@ class TestExitCodes:
         ({"command": "fit", "config": FIT_CONFIG | {"params": ["a", 0]}}, "'params'"),
         ({"command": "fit", "config": FIT_CONFIG | {"params": 5}}, "'params'"),
         ({"command": "fit", "config": FIT_CONFIG | {"seed": "x"}}, "'seed'"),
-        ({"command": "cv", "config": FIT_CONFIG | {"samples": "many", "folds": 2}},
-         "'samples'"),
+        # Text only the type error prints: the unknown-key message also names
+        # 'samples', among the allowed keys.
+        pytest.param({"command": "cv", "config": CV_CONFIG | {"samples": "many"}},
+                     "'samples' must be a JSON int", id="manifest6-'samples'"),
         # Manifests written while OptimConfig had a seed field carry it as null.
         ({"command": "fit", "config": FIT_CONFIG | {"model": FIT_CONFIG["model"] | {
             "optim": LEAN_OPTIM | {"seed": None}}}}, "'seed'")])

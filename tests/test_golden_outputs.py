@@ -28,45 +28,45 @@ FAMILIES = ("gaussian", "dpoisson", "dbinomial")
 
 GOLDEN = {
     "cv-pmle/cv.csv":
-        "3782b9f485504620c02d2d8f14afb40d65391634d63b6e3acf10e5d4e2f0b7e7",
+        "4820869a40a54b0275893fc6a1f3e802814f6a019218b5656560c0d77d0bbc65",
     "fit-pmle/coefficients.csv":
-        "6a3b413a3a1881b43ee518aa866e918a0fb22d054478c3f1f834412e153e24c4",
+        "06cc70448564774287242fd7ee622031ef5ee310bdb6c36b00223d0cf64fcdbd",
     "fit-pmle/curve.csv":
-        "110e57bccbefdb929bb7dcedef3ae9b46892ac4932e88dc6806ea772369e1f50",
+        "d4faf0733e6220b6ada7e8b6824baa9ae17c814593262919e3ec7c8bed21e7a9",
     "scenario-dbinomial/cv_bernoulli.csv":
-        "3fd4bfba16dc8b1efa6accf09f7c8c2676a344e4357325a809e17167e2c1f00d",
+        "8da146e9aaf878fb3313bbf42b29a3d3b6c4fe6685bfab447e0850373836dab4",
     "scenario-dbinomial/cv_gaussian.csv":
-        "03c9d18870dd9cd04ea42369ea448c2078866a6b997634b1575f29a5713f9de2",
+        "4a60e38aa1459713910c314ae73a2bcc57ab54e76a0f1c31fc5416446947f9b7",
     "scenario-dbinomial/cv_pmle.csv":
-        "bcba416418cad358fb90d896f06f6d4f3ed8ead056f725ca60f9a4b9dce8f3f3",
+        "ae72d0220d8456f0027ae390f64d337c6e9de2d2da9dd3b62e4c6b18ce0a2047",
     "scenario-dbinomial/results.csv":
-        "230917aefa5b321b27870434379248662eef82deb0a7747c5526b58a67020d24",
+        "a9bde799f3ce15c8f56dbd1554489dbc0b7a3539c86c0e6cd1c88d178e106f8d",
     "scenario-dbinomial/summary.csv":
-        "eda881ebc92a6c6ea1ebf07fd635e9e8f456a00a25946a91e6e7e024487349d9",
+        "6276ea1ada758a5ff29771ab793d46df5b7ca796d5a9a9e0eceee05950351c96",
     "scenario-dbinomial/truth.csv":
         "30bbf02d9d55e2fa227e926107c5c781fe00c388d773d96630b020a0f2193373",
     "scenario-dpoisson/cv_bernoulli.csv":
-        "e8e7e9ff24966e0200eb9cfcb63445b765465ce6747d1f779e7bec8fd6a96630",
+        "a0d6ae2b3b5075dc7dc78d1bcf65dfda9ce697922a1f35d2391934d3019d8ea8",
     "scenario-dpoisson/cv_gaussian.csv":
-        "263434946e8d74a6020d45f6b7e85bc94b6daa13380d2db4021a9c4ff8fd49b6",
+        "18e7d19d44a7ef977b2e2ca4363cdb483de87961e2a14699a271f381e5e99435",
     "scenario-dpoisson/cv_pmle.csv":
-        "672e2102e364f9939bded269534392086f264b5b07bc5760d4ccb2aa5c628a52",
+        "f7658ce2d76981975594bca169b4e5826ca98b311a190ffd7e0d8dbfdc142e60",
     "scenario-dpoisson/results.csv":
-        "6dcf60bd77d8580fa84eda26c90c58bad3f0082d9bf3c1046c846bae15e621c7",
+        "1b43667e79a63f4323d06b17e094822b392656edcac47a8fc99cce55fec522b3",
     "scenario-dpoisson/summary.csv":
-        "9de3e43753a1963f014cf7351cdfd1c58f94f11f0d28fb8db4132effb00cf6f3",
+        "a9def0304ae76618804399d6a86b167600e10f57acf2a4f9da0d1671b750c19f",
     "scenario-dpoisson/truth.csv":
         "30bbf02d9d55e2fa227e926107c5c781fe00c388d773d96630b020a0f2193373",
     "scenario-gaussian/cv_bernoulli.csv":
-        "6ca570724a2e5f6efeb752a2d730380dfadab74a6f939edbe6741991ac53926b",
+        "505ac48cb80a1c78125919aa6bb5cca16b6ebf8851f19f810af674eb2db04e49",
     "scenario-gaussian/cv_gaussian.csv":
-        "7608ccfd470d6a5c4f74e370a4d0888df36a16ec89b5c0478461d608c475a1b2",
+        "e5f872e981a160e2c3414b7ebd7beeb99f9f518dad090daff858cc7d01ca0563",
     "scenario-gaussian/cv_pmle.csv":
-        "a50362b708d21324f8ff0517500acccaca2ed0956a931fe30f5378ec25e0d194",
+        "1373bf12f18c3750365675feb6c7380a61c71d92ce562b4a2ff8614c03bfe641",
     "scenario-gaussian/results.csv":
-        "7be1148213f77926cac459319f667c4a6e20f4cdc4de5e071700cd77319d7b1a",
+        "2e3c2b70eca4acdc61d71119987c29f6cdae5d1b87ff8bc73f479b129693e1ea",
     "scenario-gaussian/summary.csv":
-        "44f37a6e0571197bce082b4e14f51af724e7e4ecf530c2317f1bc846f4d9d6d5",
+        "aa9030177ef2063ca9dcea2c829204a602db8b15bfabc890fd3a5cca23c4dea2",
     "scenario-gaussian/truth.csv":
         "d3d0f614e779dc1a270e483509ac5ea29b4d8ff7e66cf4b742d2cc1934420d24",
     "simulate-dbinomial/data.csv":
@@ -76,9 +76,9 @@ GOLDEN = {
     "simulate-gaussian/data.csv":
         "805219192adbeeb751966e3a5e58600c48e561c32234fe7f7aae06b8bd02896e",
     "traffic/cv.csv":
-        "ef1614b660a912dface0520627aa552202d7c4caf596cc4e625d0d3d87b970a3",
+        "97c65436f72109791256ca4d155f6451e09c539943a6313c659e42b184c5ef47",
     "traffic/fitted.csv":
-        "6091bc4b29b4902de3a16858b971a492e0ac4570f80d808ef0ee91c1613feae5",
+        "9f490ed0c60f5b2d00acbb7387edf93ebe6a1097d500ec78b5852f1765238bba",
 }
 
 # Manifest configs of the golden runs as earlier versions wrote them, with

@@ -58,6 +58,26 @@ class TestAdadelta:
             adadelta_step(AdadeltaState.zeros(2), np.zeros(3), 0.95, 1e-6)
 
 
+class TestEpochBatches:
+    @pytest.mark.parametrize("n,batch_size", [(40, 10), (43, 10), (30, 30), (59, 30)])
+    def test_disjoint_batches_of_distinct_rows(self, n, batch_size):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            batches = optim.epoch_batches(n, batch_size, rng)
+            assert batches.shape == (n // batch_size, batch_size)
+            rows = batches.ravel()
+            assert len(np.unique(rows)) == rows.size
+            assert rows.min() >= 0 and rows.max() < n
+
+    def test_every_row_is_sampled(self):
+        # The dropped tail is a different set of rows in each epoch.
+        rng = np.random.default_rng(0)
+        seen = np.zeros(43, dtype=bool)
+        for _ in range(50):
+            seen[optim.epoch_batches(43, 10, rng).ravel()] = True
+        assert seen.all()
+
+
 def quadratic_problem(rng, n=80, d=4):
     X = rng.normal(size=(n, d))
     beta_true = rng.normal(size=d)
@@ -112,26 +132,29 @@ class TestFit:
         assert a.termination == b.termination and a.n_iter == b.n_iter
 
     def test_batch_score_is_unbiased(self):
-        # (n/b) * batch score averages to the full score across batch draws.
+        # (n/b) * batch score averages to the full score across batch draws,
+        # also when the epoch drops an incomplete tail of n % b rows.  Each
+        # sample takes one batch of its own epoch, cycling through the batch
+        # positions, so the samples are independent.
         rng = np.random.default_rng(6)
-        n, b = 40, 10
-        X = rng.normal(size=(n, 3))
-        Z = rng.normal(size=(n, 2)) * 0.5
-        spec = GlmSpec(kernel=fam.poisson(), X=X, Z=Z,
-                       beta=rng.normal(size=3) * 0.2,
-                       alpha=rng.normal(size=2) * 0.2)
-        y = rng.poisson(np.exp(np.clip(spec.theta, -3, 3))).astype(float)
-        full = score(spec, y)
-        draws = 10_000
-        batch_rng = np.random.default_rng(7)
-        samples = np.empty((draws, 5))
-        for t in range(draws):
-            idx = batch_rng.choice(n, size=b, replace=False)
-            rep = score(spec.rows(idx), y[idx])
-            samples[t] = (n / b) * np.concatenate([rep.score_beta, rep.score_alpha])
-        target = np.concatenate([full.score_beta, full.score_alpha])
-        se = samples.std(axis=0, ddof=1) / np.sqrt(draws)
-        assert np.all(np.abs(samples.mean(axis=0) - target) <= 3 * se)
+        for n, b in ((40, 10), (43, 10)):
+            X = rng.normal(size=(n, 3))
+            Z = rng.normal(size=(n, 2)) * 0.5
+            spec = GlmSpec(kernel=fam.poisson(), X=X, Z=Z,
+                           beta=rng.normal(size=3) * 0.2,
+                           alpha=rng.normal(size=2) * 0.2)
+            y = rng.poisson(np.exp(np.clip(spec.theta, -3, 3))).astype(float)
+            full = score(spec, y)
+            draws = 10_000
+            batch_rng = np.random.default_rng(7)
+            samples = np.empty((draws, 5))
+            for t in range(draws):
+                idx = optim.epoch_batches(n, b, batch_rng)[t % (n // b)]
+                rep = score(spec.rows(idx), y[idx])
+                samples[t] = (n / b) * np.concatenate([rep.score_beta, rep.score_alpha])
+            target = np.concatenate([full.score_beta, full.score_alpha])
+            se = samples.std(axis=0, ddof=1) / np.sqrt(draws)
+            assert np.all(np.abs(samples.mean(axis=0) - target) <= 3 * se), (n, b)
 
     @pytest.mark.parametrize("family", ["gaussian", "dpoisson", "dbinomial"])
     def test_engine_climbs_the_analytic_score(self, family, monkeypatch):
@@ -156,6 +179,39 @@ class TestFit:
         expected = np.concatenate([rep.score_beta, rep.score_alpha])
         assert len(grads) == 1
         assert np.linalg.norm(grads[0] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_draws_do_not_depend_on_when_the_fit_stops(self):
+        # Epochs of 7 batches, so the shorter fit ends inside an epoch; both
+        # noise sides reach the trace.
+        rng = np.random.default_rng(14)
+        n = 70
+        spec = GlmSpec(kernel=fam.gaussian(), X=rng.normal(size=(n, 4)),
+                       Z=rng.normal(size=(n, 2)) * 0.3, beta=np.zeros(4),
+                       alpha=np.zeros(2))
+        y = spec.X @ rng.normal(size=4) + rng.normal(size=n)
+        noise = NoiseSpec.bernoulli(0.3, 0.3)
+        short, long = (fit(spec, y, noise, OptimConfig(batch_size=10, max_iters=iters,
+                                                       tol=1e-300),
+                           np.random.default_rng(15))
+                       for iters in (300, 3000))
+        assert short.termination == long.termination == "max-iter"
+        assert np.array_equal(short.trace_loglik, long.trace_loglik[:3])
+
+    def test_noise_is_drawn_once_per_epoch_and_side(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        spec, y = quadratic_problem(rng, n=47)
+        calls = []
+        draw = NoiseSpec.draw
+
+        def spy(self, side, shape, rng):
+            calls.append((side, shape))
+            return draw(self, side, shape, rng)
+
+        monkeypatch.setattr(NoiseSpec, "draw", spy)
+        # Nine iterations in epochs of four: three epochs.
+        fit(spec, y, NoiseSpec.gaussian(0.3, 0.3),
+            OptimConfig(batch_size=10, max_iters=9), np.random.default_rng(0))
+        assert calls == [("mean", (4, 10, 4)), ("disp", (4, 10, 1))] * 3
 
     def test_stationary_termination_reported(self):
         rng = np.random.default_rng(8)
@@ -198,30 +254,30 @@ PIN_CASES = {
     # (family, method, params): (termination, digest); the comment gives
     # n_iter and rejected_steps.
     ("dbinomial", "bernoulli", (0.3, 0.2)): (  # 40, 0
-        "stationary", "717bd2f602e91f9f52b15b60b46568e5996e9b37e6813d815aa21c7c75fd615d"),
+        "stationary", "d5584f30460a1d00b0673d81e70196fd74f061e65db35acfe6e269ceebf71761"),
     ("dbinomial", "gaussian", (0.0, 0.5)): (  # 40, 0
-        "stationary", "6f0befa4ad6011be2def403ad358747db5cea82c1b67ee5e270c76b53f435110"),
+        "stationary", "66faad9ad7a49ee5f29bc36d0145c53e41f2935aa76f3eae69d4927083174364"),
     ("dbinomial", "pmle", (15000.0, 0.0)): (  # 390, 0
-        "stationary", "bec235ade97125402f74ad911ec0b5afd53617bbc39af9b61cd7948fabb88a74"),
+        "stationary", "9b07a7fce7b46a1a9a0354491d868f61e3ba2f6ad89f4e64b4217b764a075f05"),
     ("dpoisson", "bernoulli", (0.3, 0.2)): (  # 400, 0
-        "max-iter", "af071558f163485df2ce0ede5cedfd0dd1f82c7490f7ce59f96c1173c4612464"),
-    ("dpoisson", "gaussian", (0.4, 0.3)): (  # 330, 0
-        "stationary", "ee6190ce5ad226cf6ad813a44853d46aa64e363c181e5adf6a93c625e1de1030"),
+        "max-iter", "683bb30bb7932bb66e29ba72abffe915f626e97a4102741eb60290fb010ee740"),
+    ("dpoisson", "gaussian", (0.4, 0.3)): (  # 300, 0
+        "stationary", "b47ba018f82b25219ede88a60a8e8797c2926b484dc5bc02ed8680a98da64a67"),
     ("dpoisson", "pmle", (5000.0, 15000.0)): (  # 40, 0
-        "stationary", "b8310da6beb3f59d184fd297c68fe72c5faff53f30417840b7dcc9f2f88f4c5b"),
+        "stationary", "ab27e48a4d20190cb7a8a1ca055f6895f207af7f33ab7181d26688715c4308df"),
     # Both noise sides at zero: no draw at all.
     ("gaussian", "bernoulli", (0.0, 0.0)): (  # 400, 0
-        "max-iter", "11c2f8f1ae5497d3d507d708b5f6f89198ebedeac7455ffd96947849aa665fb2"),
+        "max-iter", "7858bffeec84c499ac7e8579215abe6978a710ddd18b9ecb51e136ed9301c53c"),
     ("gaussian", "bernoulli", (0.3, 0.2)): (  # 400, 0
-        "max-iter", "11ecb25c7fd7c0105a2d5abd6d969b3fa7b1c0e2324973370b09dab7cf2deff8"),
+        "max-iter", "4052f3733c45df92f7fc8b052c88ecea09a2f18e6085b26f8ea52266596c1bc3"),
     # Dispersion noise so wide that every batch score, or its square, is
     # non-finite: every step is rejected.
     ("gaussian", "gaussian", (0.0, 1e307)): (  # 40, 40
         "stationary", "8c797c32af2ca666720d7d1bfc811a5971aff726a97fbb7d183981bd7a5c4e3a"),
     ("gaussian", "gaussian", (0.4, 0.3)): (  # 400, 0
-        "max-iter", "1b68bd5cbeda218794957cc5fbc9c0d70c284e659dd8ffb36a26dbe77871404c"),
+        "max-iter", "885de72c782dad87dd82131e10cc02fba730d31fcc3c0b2a75ebd94565635705"),
     ("gaussian", "pmle", (5000.0, 15000.0)): (  # 400, 0
-        "max-iter", "71e46e5fb25535e1f9c6ff335c81a92ed0dc0af22ded81845c40a9442d1c76ec"),
+        "max-iter", "2236aafb046548b0dd7da9e80dc543a9184fa665a1f16b6bfd5e6894337f09aa"),
     # A finite penalty gradient whose square overflows: every step is rejected.
     ("gaussian", "pmle", (1e308, 0.0)): (  # 40, 40
         "stationary", "abe36091b29e48df2e6dca95e670d25c8b2d10aa090f2daf4f5d0ae611175517"),
