@@ -3,13 +3,15 @@
 The randomness is drawn once per epoch of ``n // batch_size`` iterations: one
 permutation of the rows, cut into the epoch's mini-batches (``epoch_batches``),
 then one block of dropout noise per noisy side covering every batch of the
-epoch.  Each iteration takes the next batch and its slice of the noise,
-evaluates the batch score at the perturbed features (equivalently the
-perturbed coefficients) and applies one ADADELTA update to the joint vector
-(beta, alpha): the recurrences act coordinate by coordinate, so one state
-gives the numbers of separate mean and dispersion states to the bit.  The
-same engine also runs the penalized baseline: quadratic coefficient
-penalties simply contribute their gradient to the score.
+epoch.  The epoch's design rows are gathered once into per-epoch blocks and
+each noise block is multiplied into its design block once, so each iteration
+only takes the next batch's block, evaluates the batch score at the
+perturbed features (equivalently the perturbed coefficients) and applies
+one ADADELTA update, in place, to the joint vector (beta, alpha): the
+recurrences act coordinate by coordinate, so one state gives the numbers of
+separate mean and dispersion states to the bit.  The same engine also runs
+the penalized baseline: quadratic coefficient penalties simply contribute
+their gradient to the score.
 
 Determinism contract: identical seeds, data and configs produce bitwise
 identical results, and the draws of a fit that stops early are a prefix of
@@ -18,6 +20,7 @@ those of the same fit run longer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,18 +85,25 @@ class AdadeltaState:
 
 def adadelta_step(state: AdadeltaState, grad: np.ndarray, rho: float,
                   eps: float):
-    """One ADADELTA recurrence; returns (step along grad, new state).
+    """One ADADELTA recurrence; returns (step along grad, state).
 
     E[g^2] <- rho E[g^2] + (1-rho) g^2
     step    = sqrt((E[s^2] + eps) / (E[g^2] + eps)) * grad
     E[s^2] <- rho E[s^2] + (1-rho) step^2
+
+    ``state``'s two arrays are updated in place, and the state returned is
+    the state given.
     """
-    if state.avg_sq_grad.shape != grad.shape:
+    avg_sq_grad, avg_sq_step = state.avg_sq_grad, state.avg_sq_step
+    if avg_sq_grad.shape != grad.shape:
         raise ConfigError("accumulator and gradient lengths differ")
-    avg_sq_grad = rho * state.avg_sq_grad + (1.0 - rho) * grad**2
-    step = np.sqrt((state.avg_sq_step + eps) / (avg_sq_grad + eps)) * grad
-    avg_sq_step = rho * state.avg_sq_step + (1.0 - rho) * step**2
-    return step, AdadeltaState(avg_sq_grad, avg_sq_step)
+    num = avg_sq_step + eps
+    avg_sq_grad *= rho
+    avg_sq_grad += (1.0 - rho) * (grad * grad)
+    step = np.sqrt(num / (avg_sq_grad + eps)) * grad
+    avg_sq_step *= rho
+    avg_sq_step += (1.0 - rho) * (step * step)
+    return step, state
 
 
 def _clamp(v: np.ndarray, bound: float) -> np.ndarray:
@@ -146,10 +156,9 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     p, q = X.shape[1], Z.shape[1]
     phi = spec.phi
     sat = kernel.saturated_term(y)
-    # One row gather per batch serves every per-observation input.
-    data = np.column_stack([X, Z, y, sat])
     theta_clamp = _THETA_CLAMPS[kernel.name]
     scale = n / config.batch_size
+    rho, eps, trace_every = config.rho, config.eps, config.trace_every
 
     # One vector w = [beta; alpha]; beta and alpha are views into it.
     w = np.concatenate([warm_start_beta(spec, y), np.zeros(q)])
@@ -164,7 +173,7 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     buf_len = min(config.avg_window, config.max_iters)
     ring = np.empty((buf_len, w.size))
 
-    points_per_window = max(1, config.window // config.trace_every)
+    points_per_window = max(1, config.window // trace_every)
     trace_iters: list[int] = []
     trace_vals: list[float] = []
     rejected = 0
@@ -177,38 +186,41 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
         if b == 0:
             # Each epoch draws, in this order, its batches and then the whole
             # epoch's noise for each noisy side, so the draws never depend on
-            # when the fit stops.
+            # when the fit stops.  The epoch's rows are gathered once, as
+            # copies, and the noise is multiplied into them in place.
             batches = epoch_batches(n, config.batch_size, rng)
+            Xe, Ze, ye, sate = X[batches], Z[batches], y[batches], sat[batches]
             if noise.mean_param > 0:
-                xi_mean = noise.draw("mean", batches.shape + (p,), rng)
+                Xe *= noise.draw("mean", Xe.shape, rng)
             if noise.disp_param > 0:
-                xi_disp = noise.draw("disp", batches.shape + (q,), rng)
-        batch = data[batches[b]]
-        Xb, Zb = batch[:, :p], batch[:, p:-2]
-        yb, satb = batch[:, -2], batch[:, -1]
-        if noise.mean_param > 0:
-            Xb = Xb * xi_mean[b]
-        if noise.disp_param > 0:
-            Zb = Zb * xi_disp[b]
+                Ze *= noise.draw("disp", Ze.shape, rng)
+        Xb, Zb = Xe[b], Ze[b]
 
-        theta = _clamp(Xb @ beta, theta_clamp)
-        gamma = np.exp(_clamp(Zb @ alpha, _ETA_CLAMP))
-        u_beta, u_alpha = score_terms(kernel, theta, gamma, yb, satb, phi)
-        grad[:p] = Xb.T @ u_beta
-        grad[p:] = Zb.T @ u_alpha
+        theta = Xb @ beta
+        np.maximum(theta, -theta_clamp, out=theta)
+        np.minimum(theta, theta_clamp, out=theta)
+        eta = Zb @ alpha
+        np.maximum(eta, -_ETA_CLAMP, out=eta)
+        np.minimum(eta, _ETA_CLAMP, out=eta)
+        gamma = np.exp(eta, out=eta)
+        u_beta, u_alpha = score_terms(kernel, theta, gamma, ye[b], sate[b], phi)
+        np.matmul(Xb.T, u_beta, out=grad[:p])
+        np.matmul(Zb.T, u_alpha, out=grad[p:])
         grad *= scale
         if penalty is not None:
-            grad -= np.concatenate(penalty.gradient(beta, alpha))
+            pen_beta, pen_alpha = penalty.gradient(beta, alpha)
+            grad[:p] -= pen_beta
+            grad[p:] -= pen_alpha
 
         # Also rejects a finite gradient whose square overflows in ADADELTA.
-        if np.isfinite(grad @ grad):
-            step, state = adadelta_step(state, grad, config.rho, config.eps)
+        if math.isfinite(grad @ grad):
+            step, state = adadelta_step(state, grad, rho, eps)
             w += step
         else:
             rejected += 1
         ring[(it - 1) % buf_len] = w
 
-        if it % config.trace_every == 0:
+        if it % trace_every == 0:
             value = float(np.sum(loglik_terms(
                 kernel, _clamp(X @ beta, theta_clamp), _clamp(Z @ alpha, _ETA_CLAMP),
                 y, phi)))

@@ -112,6 +112,8 @@ def load_json_config(path) -> dict:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # past the parser's digit or depth limit
+        raise ConfigError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -19,6 +19,7 @@ import csv
 import datetime
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,7 @@ TRAFFIC_RECTS = {"bernoulli": ((0.0, 1.0), (0.0, 1.0)),
 HOUR_GRID = np.linspace(0.0, 24.0, 241)
 
 
-@dataclass(frozen=True)
-class TrafficRecord:
+class TrafficRecord(NamedTuple):
     sensor: str
     direction: str
     date: datetime.date
@@ -53,50 +53,53 @@ class TrafficData:
         return sorted({(r.sensor, r.direction) for r in self.records})
 
 
-def _parse_row(row: dict) -> TrafficRecord:
-    direction = row["direction"].strip().lower()
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction {direction!r}")
-    date = datetime.date.fromisoformat(row["date"].strip())
-    hour = int(row["hour"])
-    if not 0 <= hour <= 24:
-        raise ValueError(f"hour {hour}")
-    count = int(row["count"])
-    if count < 0:
-        raise ValueError(f"count {count}")
-    return TrafficRecord(sensor=row["sensor"].strip(), direction=direction,
-                         date=date, hour=hour % 24, count=count)
-
-
 def read_traffic_csv(path) -> TrafficData:
+    """Parse a snapshot in one pass; bad rows and repeated keys are counted
+    in ``rejected``.  Lines starting with ``#`` are skipped, blank lines are
+    ignored, and fields past the required columns are allowed."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"traffic snapshot not found: {path}")
+    records = []
+    seen = set()
+    rejected = 0
     try:
         with path.open(newline="", encoding="utf-8") as handle:
-            lines = [ln for ln in handle if not ln.startswith("#")]
-        reader = csv.DictReader(lines)
-        required = {"sensor", "direction", "date", "hour", "count"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DataError(
-                f"traffic snapshot needs columns {sorted(required)}, "
-                f"got {reader.fieldnames}"
-            )
-        records = []
-        seen = set()
-        rejected = 0
-        for row in reader:
-            try:
-                rec = _parse_row(row)
-            except (ValueError, KeyError, TypeError):
-                rejected += 1
-                continue
-            key = (rec.sensor, rec.direction, rec.date, rec.hour)
-            if key in seen:
-                rejected += 1
-                continue
-            seen.add(key)
-            records.append(rec)
+            reader = csv.reader(ln for ln in handle if not ln.startswith("#"))
+            header = next(reader, None)
+            required = ("sensor", "direction", "date", "hour", "count")
+            if header is None or not set(required) <= set(header):
+                raise DataError(
+                    f"traffic snapshot needs columns {sorted(required)}, got {header}")
+            # A repeated column name reads its last occurrence.
+            column = {name: i for i, name in enumerate(header)}
+            indices = [column[c] for c in required]
+            i_sensor, i_direction, i_date, i_hour, i_count = indices
+            width = 1 + max(indices)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    rejected += 1
+                    continue
+                direction = row[i_direction].strip().lower()
+                try:
+                    date = datetime.date.fromisoformat(row[i_date].strip())
+                    hour = int(row[i_hour])
+                    count = int(row[i_count])
+                except ValueError:
+                    rejected += 1
+                    continue
+                if direction not in DIRECTIONS or not 0 <= hour <= 24 or count < 0:
+                    rejected += 1
+                    continue
+                rec = TrafficRecord(row[i_sensor].strip(), direction, date, hour % 24, count)
+                key = rec[:4]
+                if key in seen:
+                    rejected += 1
+                    continue
+                seen.add(key)
+                records.append(rec)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     except csv.Error as exc:

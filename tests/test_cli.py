@@ -339,6 +339,26 @@ class TestExitCodes:
                  "--direction", "inbound", "--config", listing])
         assert run_cli(*argv, "--out", str(tmp_path / "o")) == 2
 
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal of more than 4,300 digits, and a RecursionError for
+    # arrays nested too deep.
+    @pytest.mark.parametrize("value", ["1" + "0" * 5000, "[" * 100_000])
+    @pytest.mark.parametrize("command", ["simulate", "rerun"])
+    def test_json_past_the_parser_limits_exits_2(self, tmp_path, capsys, command,
+                                                 value):
+        if command == "simulate":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(scenario_payload(n="N")).replace('"N"', value))
+            argv = ["simulate", "--config", str(path)]
+        else:
+            path = tmp_path / "manifest.json"
+            path.write_text(f'{{"command": "simulate", "config": {{"replicate": {value}}}}}')
+            argv = ["rerun", str(path)]
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_with_vanished_input_exits_3(self, tmp_path):
         data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
         model = small_model(tmp_path)
@@ -643,10 +663,28 @@ class TestExitCodes:
             handle.write("W1,inbound,2019-06-01,notanhour,5\n")
             handle.write("W1,sideways,2019-06-02,3,5\n")
             handle.write("W1,inbound,2019-06-01,3,-2\n")
+            # Rows short of the required columns.
+            handle.write("W1\n")
+            handle.write("W1,inbound\n")
+            handle.write("W1,inbound,2019-06-01,3\n")
         from dropglm.traffic import read_traffic_csv
 
         data = read_traffic_csv(csv_path)
-        assert data.rejected == 3
+        assert data.rejected == 6
+        assert len(data.records) == 3 * 24
+
+    @pytest.mark.parametrize("days,code", [(3, 0), (0, 3)])
+    def test_short_row_is_rejected_not_a_crash(self, tmp_path, capsys, days, code):
+        csv_path = tmp_path / "traffic.csv"
+        make_traffic_csv(csv_path, days=days)
+        with csv_path.open("a") as handle:
+            handle.write("W1,inbound\n")
+        optim_cfg = write_config(tmp_path / "optim.json", {"optim": LEAN_OPTIM})
+        assert run_cli("traffic", "--data", str(csv_path), "--sensor", "W1",
+                       "--direction", "inbound", "--samples", "1", "--folds", "2",
+                       "--config", optim_cfg, "--out", str(tmp_path / "o")) == code
+        if code:
+            assert "no data for sensor" in capsys.readouterr().err
 
 
 class TestCsvRoundTrip:

@@ -7,7 +7,7 @@ from dropglm import families as fam
 from dropglm import optim
 from dropglm.dropout import NoiseSpec
 from dropglm.errors import ConfigError
-from dropglm.model import GlmSpec, loglik, score
+from dropglm.model import GlmSpec, loglik, score, score_terms
 from dropglm.optim import AdadeltaState, OptimConfig, adadelta_step, fit
 from dropglm.rngs import substream
 from dropglm.simlab import ScenarioConfig, generate_dataset
@@ -51,6 +51,18 @@ class TestAdadelta:
         state = AdadeltaState.zeros(4)
         for i, g in enumerate(grads):
             step, state = adadelta_step(state, g, 0.95, 1e-6)
+            assert np.max(np.abs(step - expected[i])) < 1e-12
+
+    def test_updates_the_given_state_in_place(self):
+        rng = np.random.default_rng(1)
+        grads = rng.normal(size=(50, 3))
+        expected = reference_adadelta(grads.tolist(), 0.9, 1e-6)
+        state = AdadeltaState.zeros(3)
+        avg_sq_grad, avg_sq_step = state.avg_sq_grad, state.avg_sq_step
+        for i, g in enumerate(grads):
+            step, returned = adadelta_step(state, g, 0.9, 1e-6)
+            assert returned is state
+            assert state.avg_sq_grad is avg_sq_grad and state.avg_sq_step is avg_sq_step
             assert np.max(np.abs(step - expected[i])) < 1e-12
 
     def test_length_mismatch(self):
@@ -212,6 +224,37 @@ class TestFit:
         fit(spec, y, NoiseSpec.gaussian(0.3, 0.3),
             OptimConfig(batch_size=10, max_iters=9), np.random.default_rng(0))
         assert calls == [("mean", (4, 10, 4)), ("disp", (4, 10, 1))] * 3
+
+    def test_loop_calls_the_one_score_once_per_iteration(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        spec, y = quadratic_problem(rng, n=47)
+        batch_sizes = []
+
+        def spy(kernel, theta, gamma, y, sat, scale):
+            batch_sizes.append(theta.size)
+            return score_terms(kernel, theta, gamma, y, sat, scale)
+
+        monkeypatch.setattr(optim, "score_terms", spy)
+        res = fit(spec, y, NoiseSpec.bernoulli(0.3, 0.3),
+                  OptimConfig(batch_size=10, max_iters=9), np.random.default_rng(0))
+        assert res.n_iter == 9
+        assert batch_sizes == [10] * 9
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.bernoulli(0.3, 0.3),
+                                       NoiseSpec.gaussian(0.4, 0.3)])
+    def test_inputs_are_not_mutated(self, noise):
+        # The noise is multiplied into each epoch's design rows in place, so
+        # those rows must be copies, never views of the caller's arrays.
+        rng = np.random.default_rng(18)
+        n = 47
+        spec = GlmSpec(kernel=fam.poisson(), X=rng.normal(size=(n, 4)),
+                       Z=rng.normal(size=(n, 2)) * 0.3, beta=np.zeros(4),
+                       alpha=np.zeros(2))
+        y = rng.poisson(3.0, n).astype(float)
+        before = [a.tobytes() for a in (spec.X, spec.Z, y)]
+        fit(spec, y, noise, OptimConfig(batch_size=10, max_iters=50),
+            np.random.default_rng(0))
+        assert [a.tobytes() for a in (spec.X, spec.Z, y)] == before
 
     def test_stationary_termination_reported(self):
         rng = np.random.default_rng(8)
