@@ -90,7 +90,9 @@ class NoiseSpec:
         param = self.mean_param if side == "mean" else self.disp_param
         if self.kind == "bernoulli":
             keep = 1.0 - param
-            return (rng.random(shape) < keep).astype(float) / keep
+            noise = (rng.random(shape) < keep).astype(float)
+            noise /= keep
+            return noise
         return 1.0 + param * rng.standard_normal(shape)
 
 
@@ -112,7 +114,9 @@ class McEstimate:
     stderr: float
 
 
-def _chunk_sizes(draws: int, per_draw: int, budget: int = 4_000_000):
+def chunk_sizes(draws: int, per_draw: int, budget: int = 4_000_000):
+    """Sizes of consecutive chunks of ``draws`` items of ``per_draw`` floats
+    each, every chunk within ``budget`` floats or one item long."""
     chunk = max(1, min(draws, budget // max(per_draw, 1)))
     done = 0
     while done < draws:
@@ -153,7 +157,7 @@ def mc_dropout_objective(spec: GlmSpec, y, noise: NoiseSpec, draws: int,
     y = spec.kernel.check_support(y)
     per_draw = spec.n * max(spec.X.shape[1], spec.Z.shape[1])
     totals = -np.concatenate([_per_draw_loglik(spec, y, noise, size, rng)
-                              for size in _chunk_sizes(draws, per_draw)])
+                              for size in chunk_sizes(draws, per_draw)])
     return McEstimate(value=float(totals.mean()),
                       stderr=float(totals.std() / np.sqrt(draws)))
 
@@ -176,7 +180,7 @@ def exact_penalty_gap(spec: GlmSpec, noise: NoiseSpec, draws: int,
     count = 0
     s1 = np.zeros(n)
     s2 = np.zeros(n)
-    for size in _chunk_sizes(draws, n * d):
+    for size in chunk_sizes(draws, n * d):
         xi = noise.draw("mean", (size, n, d), rng)
         theta = np.einsum("cnd,nd->cn", xi, xb)
         diff = spec.kernel.b(theta) - b_center  # centered, small near theta

@@ -53,7 +53,7 @@ def write_csv(path, header, rows, comments=None) -> None:
 def read_csv(path):
     """(comment lines, header, rows-of-strings); comments keep their text."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     comments = []

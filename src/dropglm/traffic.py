@@ -64,7 +64,7 @@ def read_traffic_csv(path) -> TrafficData:
     seen = set()
     rejected = 0
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(ln for ln in handle if not ln.startswith("#"))
             header = next(reader, None)
             required = ("sensor", "direction", "date", "hour", "count")

@@ -397,11 +397,13 @@ class TestExitCodes:
         from dropglm import tuning
         from dropglm.optim import FitResult
 
-        def diverged(spec, *args):
-            return FitResult(beta=np.full(spec.X.shape[1], np.nan),
-                             alpha=np.zeros(spec.Z.shape[1]), n_iter=1,
-                             trace_iters=np.array([1]),
-                             trace_loglik=np.array([np.nan]), termination="max-iter")
+        def diverged(spec, y, method, params, config, rngs, rows):
+            # One diverged result per fit of the lockstep group.
+            return [FitResult(beta=np.full(spec.X.shape[1], np.nan),
+                              alpha=np.zeros(spec.Z.shape[1]), n_iter=1,
+                              trace_iters=np.array([1]),
+                              trace_loglik=np.array([np.nan]), termination="max-iter")
+                    for _ in rows]
 
         monkeypatch.setattr(tuning, "fit_method", diverged)
         data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
@@ -532,6 +534,31 @@ class TestExitCodes:
         assert run_cli(command, "--data", str(data), *rest,
                        "--out", str(tmp_path / "o")) == 3
         assert "data.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cv", "fit", "traffic"])
+    def test_byte_order_mark_is_read_past(self, tmp_path, command):
+        # Spreadsheet tools save UTF-8 CSVs with a byte-order mark; the data
+        # reads as it does without one, to the same outputs.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        if command == "traffic":
+            make_traffic_csv(plain, days=3)
+            rest = ["--sensor", "W1", "--direction", "inbound", "--samples", "1",
+                    "--folds", "2", "--config",
+                    write_config(tmp_path / "optim.json", {"optim": LEAN_OPTIM})]
+        else:
+            write_xy(plain, np.linspace(0, 1, 40))
+            rest = ["--config", small_model(tmp_path), "--method", "bernoulli",
+                    *(["--samples", "2", "--folds", "2"] if command == "cv"
+                      else ["--params", "0.1,0.1"])]
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for data in (plain, marked):
+            assert run_cli(command, "--data", str(data), *rest,
+                           "--out", str(tmp_path / data.stem)) == 0
+        outputs = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
+        assert outputs == sorted(p.name for p in (tmp_path / "marked").glob("*.csv"))
+        for name in outputs:
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "marked" / name).read_bytes()), name
 
     @pytest.mark.parametrize("command", ["fit", "simulate", "rerun"])
     def test_undecodable_config_exits_2(self, tmp_path, capsys, command):

@@ -256,6 +256,39 @@ class TestFit:
             np.random.default_rng(0))
         assert [a.tobytes() for a in (spec.X, spec.Z, y)] == before
 
+    @pytest.mark.parametrize("trace_every,window,avg_window,max_iters,tol", [
+        (1, 3, 7, 40, 1e-3), (1, 1, 1, 25, 1e-300), (3, 7, 50, 61, 1e-3),
+        (7, 30, 13, 200, 1e-300), (2, 4, 3, 1, 1e-3), (50, 10, 40, 333, 1e-3)])
+    def test_estimate_is_the_mean_of_the_last_iterates(self, monkeypatch, trace_every,
+                                                       window, avg_window, max_iters,
+                                                       tol):
+        # Every iterate is rebuilt from the warm start and the ADADELTA steps;
+        # the estimate is the mean of the last min(avg_window, n_iter // 2)
+        # of them (at least one), to the bit.
+        rng = np.random.default_rng(19)
+        spec, y = quadratic_problem(rng, n=50)
+        steps = []
+
+        def spy(state, grad, rho, eps):
+            step, state = adadelta_step(state, grad, rho, eps)
+            steps.append(np.array(step).reshape(-1))
+            return step, state
+
+        monkeypatch.setattr(optim, "adadelta_step", spy)
+        config = OptimConfig(batch_size=10, max_iters=max_iters, window=window,
+                             trace_every=trace_every, tol=tol, avg_window=avg_window)
+        res = fit(spec, y, NoiseSpec.bernoulli(0.3, 0.3), config,
+                  np.random.default_rng(20))
+        assert len(steps) == res.n_iter
+        w = np.concatenate([optim.warm_start_beta(spec, y), np.zeros(1)])
+        iterates = []
+        for step in steps:
+            w = w + step
+            iterates.append(w)
+        take = min(avg_window, max(1, res.n_iter // 2))
+        expected = np.mean(iterates[-take:], axis=0)
+        assert np.array_equal(np.concatenate([res.beta, res.alpha]), expected)
+
     def test_stationary_termination_reported(self):
         rng = np.random.default_rng(8)
         spec, y = quadratic_problem(rng, n=50)
@@ -270,6 +303,18 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(spec, y, NoiseSpec.none(), OptimConfig(batch_size=11),
                 np.random.default_rng(0))
+
+    def test_every_lockstep_fit_is_checked_before_any_work(self):
+        # The second fit's 5 rows cannot fill a batch of 10: nothing is drawn.
+        rng = np.random.default_rng(10)
+        spec, y = quadratic_problem(rng, n=40)
+        gens = [np.random.default_rng(1), np.random.default_rng(2)]
+        before = [g.bit_generator.state for g in gens]
+        with pytest.raises(ConfigError, match="exceeds n=5"):
+            optim.fit_many(spec, y, [np.arange(40), np.arange(5)],
+                           [NoiseSpec.bernoulli(0.3, 0.3)] * 2,
+                           OptimConfig(batch_size=10), gens, [None, None])
+        assert [g.bit_generator.state for g in gens] == before
 
     def test_smoothed_objective_nondecreasing_noise_free(self):
         # Strictly concave noise-free problem: windowed means of the traced
