@@ -93,23 +93,6 @@ def build_basis(lo: float, hi: float, nknots: int, mode: str = "natural") -> Spl
     return SplineBasis(lo=float(lo), hi=float(hi), nknots=int(nknots), mode=mode)
 
 
-def _design_unconstrained(basis: SplineBasis, x: np.ndarray, deriv: int) -> np.ndarray:
-    """Design of the nknots+2 unconstrained splines over the extended knots."""
-    m = basis.nknots
-    h = basis.spacing
-    s = (x - basis.lo) / h  # cell coordinate in [0, m-1]
-    cell = np.clip(np.floor(s).astype(int), 0, m - 2)
-    t = s - cell
-    vals = _segment_values(t, deriv) / h**deriv
-    out = np.zeros((len(x), m + 2))
-    rows = np.arange(len(x))
-    for k in range(4):
-        # Segment N_k belongs to the unconstrained function with index
-        # cell - k in (-3..m-2), stored in column cell - k + 3.
-        out[rows, cell - k + 3] += vals[:, k]
-    return out
-
-
 def _fold_natural(design: np.ndarray) -> np.ndarray:
     """Absorb the natural end conditions into the boundary columns."""
     m = design.shape[1] - 2
@@ -122,21 +105,6 @@ def _fold_natural(design: np.ndarray) -> np.ndarray:
     return out
 
 
-def _design_cyclic(basis: SplineBasis, x: np.ndarray, deriv: int) -> np.ndarray:
-    m = basis.nknots
-    h = basis.spacing
-    u = np.mod(x - basis.lo, basis.period)
-    s = u / h  # in [0, m)
-    cell = np.minimum(np.floor(s).astype(int), m - 1)
-    t = s - cell
-    vals = _segment_values(t, deriv) / h**deriv
-    out = np.zeros((len(x), m))
-    rows = np.arange(len(x))
-    for k in range(4):
-        out[rows, (cell - k) % m] += vals[:, k]
-    return out
-
-
 def design_matrix(basis: SplineBasis, x, deriv: int = 0) -> np.ndarray:
     """Row i holds the basis functions (or a derivative) evaluated at x[i].
 
@@ -146,13 +114,27 @@ def design_matrix(basis: SplineBasis, x, deriv: int = 0) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise DomainError(f"non-finite points: {x[~np.isfinite(x)][:5]}")
+    m, h = basis.nknots, basis.spacing
     if basis.mode == "cyclic":
-        return _design_cyclic(basis, x, deriv)
-    slack = 1e-12 * (basis.hi - basis.lo)
-    if np.any((x < basis.lo - slack) | (x > basis.hi + slack)):
-        bad = x[(x < basis.lo - slack) | (x > basis.hi + slack)]
-        raise DomainError(
-            f"points outside [{basis.lo}, {basis.hi}] in natural mode: {bad[:5]}"
-        )
-    x = np.clip(x, basis.lo, basis.hi)
-    return _fold_natural(_design_unconstrained(basis, x, deriv))
+        s = np.mod(x - basis.lo, basis.period) / h  # cell coordinate in [0, m)
+        cell = np.minimum(np.floor(s).astype(int), m - 1)
+        width, shift = m, 0
+    else:
+        slack = 1e-12 * (basis.hi - basis.lo)
+        outside = (x < basis.lo - slack) | (x > basis.hi + slack)
+        if outside.any():
+            raise DomainError(f"points outside [{basis.lo}, {basis.hi}] in natural "
+                              f"mode: {x[outside][:5]}")
+        s = (np.clip(x, basis.lo, basis.hi) - basis.lo) / h  # in [0, m-1]
+        cell = np.clip(np.floor(s).astype(int), 0, m - 2)
+        # The m+2 unconstrained splines over the extended knots, indexed
+        # -3..m-2, before the end conditions fold them into m columns.
+        width, shift = m + 2, 3
+    vals = _segment_values(s - cell, deriv) / h**deriv
+    out = np.zeros((len(x), width))
+    rows = np.arange(len(x))
+    for k in range(4):
+        # Segment N_k belongs to the spline with index cell - k, stored in
+        # column cell - k + shift; cyclic indices wrap around the period.
+        out[rows, (cell - k + shift) % width] += vals[:, k]
+    return out if basis.mode == "cyclic" else _fold_natural(out)

@@ -46,7 +46,8 @@ from .simlab import (
     method_rectangle,
     run_scenario,
 )
-from .traffic import TRAFFIC_RECTS, fit_traffic_model, read_traffic_csv, select_series
+from .traffic import (DIRECTIONS, TRAFFIC_RECTS, fit_traffic_model, read_traffic_csv,
+                      select_series)
 from .tuning import METHODS, CvPlan, cv_table, fit_method, random_search_cv
 
 TRAFFIC_SCHEMA = ("input CSV columns: sensor,direction,date,hour,count "
@@ -259,6 +260,13 @@ class TrafficRun(_InputRun):
     disp_knots: int = 12
     optim: OptimConfig = field(default_factory=OptimConfig)
 
+    def __post_init__(self):
+        super().__post_init__()
+        for name, allowed in (("direction", DIRECTIONS), ("noise", tuple(TRAFFIC_RECTS))):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name!r} must be one of {allowed}, "
+                                  f"got {getattr(self, name)!r}")
+
     def tables(self) -> dict:
         hours, counts = select_series(read_traffic_csv(self.input_path()), self.sensor,
                                       self.direction, summer_2019=self.summer_2019)
@@ -405,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "traffic counts", epilog=TRAFFIC_SCHEMA)
     p.add_argument("--data", required=True, help=TRAFFIC_SCHEMA)
     p.add_argument("--sensor", required=True)
-    p.add_argument("--direction", required=True, choices=["inbound", "outbound"])
+    p.add_argument("--direction", required=True, choices=DIRECTIONS)
     p.add_argument("--noise", default="bernoulli", choices=sorted(TRAFFIC_RECTS))
     p.add_argument("--samples", type=int, default=5000,
                    help="CV sample count (5000 in the full workflow)")

@@ -130,14 +130,7 @@ class PoissonKernel(FamilyKernel):
     def b(self, theta):
         return np.exp(np.asarray(theta, dtype=float))
 
-    def b_prime(self, theta):
-        return np.exp(np.asarray(theta, dtype=float))
-
-    def b_second(self, theta):
-        return np.exp(np.asarray(theta, dtype=float))
-
-    def b_third(self, theta):
-        return np.exp(np.asarray(theta, dtype=float))
+    b_prime = b_second = b_third = b  # exp is its own derivative
 
     def mean_to_theta(self, mu):
         mu = np.asarray(mu, dtype=float)

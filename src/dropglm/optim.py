@@ -14,13 +14,15 @@ the penalized baseline: quadratic coefficient penalties simply contribute
 their gradient to the score.
 
 There is one loop, and it advances many fits at once: :func:`fit_many` puts
-F fits, each on its own rows of one shared design, on a leading fit axis,
-and :func:`fit` is its call with one fit on every row.  Each fit draws from
-its own generator, is checked and stopped on its own, and gets the numbers
-it would get alone: the products over the fit axis are stacked ``matmul``
-calls, which give each fit the bits of its own matrix-vector products.  The
-per-call overhead of numpy on small arrays, which dominates one fit's
-iteration, is then shared by F fits.
+F fits on a leading fit axis, each naming its training rows of one shared
+design by an index array, and :func:`fit` is its call with one fit on
+``arange(n)``.  Each fit draws from its own generator, is checked and
+stopped on its own, and gets the numbers it would get alone: the products
+over the fit axis are stacked ``matmul`` calls, which give each fit the bits
+of its own matrix-vector products.  The per-call overhead of numpy on small
+arrays, which dominates one fit's iteration, is then shared by F fits.
+:func:`lockstep_floats` states the memory one fit holds, so callers can
+size their groups.
 
 Determinism contract: identical seeds, data and configs produce bitwise
 identical results, and the draws of a fit that stops early are a prefix of
@@ -151,23 +153,23 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarr
 def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
         rng: np.random.Generator, penalty=None) -> FitResult:
     """SGD ascent of the (noise-perturbed, optionally penalized) likelihood on
-    every row of ``spec``: :func:`fit_many` with one fit.
+    every row of ``spec``: :func:`fit_many` with one fit on ``arange(n)``.
 
     ``penalty`` is an optional object with a ``gradient(beta, alpha)`` method
     returning the gradient of the penalty to subtract from the score and a
     ``value(beta, alpha)`` method entering the traced objective (used by the
     penalized-MLE baseline).
     """
-    return fit_many(spec, y, [None], [noise], config, [rng], [penalty])[0]
+    return fit_many(spec, y, [np.arange(spec.n)], [noise], config, [rng], [penalty])[0]
 
 
 def fit_many(spec: GlmSpec, y, rows, noises, config: OptimConfig, rngs,
              penalties) -> list[FitResult]:
     """F fits advanced in lockstep; one :class:`FitResult` per fit, in order.
 
-    Fit f runs on the rows ``rows[f]`` of ``spec`` and ``y`` (``None``: every
-    row) with the noise ``noises[f]``, the generator ``rngs[f]`` and the
-    penalty ``penalties[f]`` (``None`` or as in :func:`fit`), and gets the
+    Fit f runs on the rows ``rows[f]`` (an index array) of ``spec`` and ``y``
+    with the noise ``noises[f]``, the generator ``rngs[f]`` and the penalty
+    ``penalties[f]`` (``None`` or as in :func:`fit`), and gets the
     numbers it would get alone: it draws from its own generator in
     :func:`fit`'s order, and the products over the fit axis are stacked
     ``matmul`` calls, which give each fit the bits of its own.  Fits whose
@@ -175,7 +177,7 @@ def fit_many(spec: GlmSpec, y, rows, noises, config: OptimConfig, rngs,
     leaves it.
     """
     y = spec.kernel.check_support(y)
-    sizes = [spec.n if r is None else len(r) for r in rows]
+    sizes = [len(r) for r in rows]
     for n in sizes:
         if config.batch_size > n:
             raise ConfigError(f"batch size {config.batch_size} exceeds n={n}")
@@ -190,7 +192,7 @@ def fit_many(spec: GlmSpec, y, rows, noises, config: OptimConfig, rngs,
 class _Fit:
     """One fit of a lockstep run: its inputs, trace values and result."""
 
-    rows: np.ndarray | None
+    rows: np.ndarray
     n: int
     noise: NoiseSpec
     rng: np.random.Generator
@@ -222,6 +224,15 @@ def _stop_windows(config: OptimConfig):
     return ends.tolist(), starts.tolist(), takes.tolist(), int(open_most)
 
 
+def lockstep_floats(n: int, dim: int, config: OptimConfig) -> int:
+    """Floats one fit of :func:`fit_many` holds on ``n`` rows with ``dim``
+    coefficients: its epoch blocks, one row of ``dim + 3`` (design, response,
+    saturated term and row index) per batch row of an epoch, and its open
+    tail-average sums of ``dim`` each."""
+    rows = n // config.batch_size * config.batch_size
+    return rows * (dim + 3) + _stop_windows(config)[3] * dim
+
+
 def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig):
     """Run ``fits``, whose epochs all hold ``per_epoch`` batches, setting each
     one's ``result``.  Slot s of every per-fit array holds an active fit;
@@ -241,8 +252,7 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig)
     # One vector w = [beta; alpha] per fit, and one ADADELTA state over all.
     w = np.zeros((F, p + q))
     for s, f in enumerate(fits):
-        w[s, :p] = (warm_start_beta(spec, y) if f.rows is None
-                    else warm_start_beta(spec.rows(f.rows), y[f.rows]))
+        w[s, :p] = warm_start_beta(spec.rows(f.rows), y[f.rows])
     state = AdadeltaState.zeros(w.shape)
     grad = np.empty(w.shape)
     scale = np.array([f.n / B for f in fits])
@@ -297,7 +307,7 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig)
             # never depend on when the fit stops.
             for s, f in enumerate(fits[:k]):
                 batches = epoch_batches(f.n, B, f.rng)
-                rows_k[:, s] = batches if f.rows is None else f.rows[batches]
+                rows_k[:, s] = f.rows[batches]
             X.take(rows_k, axis=0, out=Xk, mode="clip")
             Z.take(rows_k, axis=0, out=Zk, mode="clip")
             y.take(rows_k, out=yk[..., 0], mode="clip")
@@ -402,7 +412,5 @@ def _stationary(values: list, points: int, tol: float) -> bool:
 
 def _traced_value(kernel, X, Z, y, rows, beta, alpha, phi, theta_clamp) -> float:
     """The fit's log-likelihood on its rows, at the clamped predictors."""
-    if rows is not None:
-        X, Z, y = X[rows], Z[rows], y[rows]
-    return float(np.sum(loglik_terms(kernel, _clamp(X @ beta, theta_clamp),
-                                     _clamp(Z @ alpha, _ETA_CLAMP), y, phi)))
+    return float(np.sum(loglik_terms(kernel, _clamp(X[rows] @ beta, theta_clamp),
+                                     _clamp(Z[rows] @ alpha, _ETA_CLAMP), y[rows], phi)))

@@ -21,6 +21,8 @@ import json
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, DataError
 from .simlab import ScenarioConfig
@@ -32,9 +34,7 @@ _MANIFEST_COMMENT = f"# manifest: {MANIFEST_NAME}"
 def format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int,)) or (hasattr(value, "dtype") and getattr(value, "dtype", None) is not None and value.dtype.kind in "iu"):
+    if isinstance(value, (int, np.integer)):  # bool included: True -> "1"
         return str(int(value))
     return repr(float(value))
 

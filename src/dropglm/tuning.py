@@ -13,9 +13,10 @@ nothing and raises NumericError.
 
 Fits derive their RNG streams from (seed, sample index, fold index), so the
 evaluation order of samples has no effect on the table or the winner.  The
-s x k fits therefore advance in lockstep, in groups bounded by
-:data:`CV_GROUP_FLOATS`, through the group form of :func:`fit_method`; each
-fit equals, to the bit, the same fit run alone.
+s x k fits therefore advance in lockstep, each on its training-row indices,
+through the group form of :func:`fit_method`; each fit equals, to the bit,
+the same fit run alone.  A group holds at most :data:`CV_GROUP_FLOATS`
+floats, counted per fit by :func:`dropglm.optim.lockstep_floats`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .dropout import NoiseSpec, chunk_sizes
 from .errors import ConfigError, NumericError
 from .model import GlmSpec, loglik
-from .optim import FitResult, OptimConfig, fit, fit_many
+from .optim import FitResult, OptimConfig, fit, fit_many, lockstep_floats
 from .pmle import DiffPenalty, pmle_fit
 from .rngs import substream
 
@@ -41,12 +42,12 @@ METHODS = ("bernoulli", "gaussian", "pmle")
 # discrepancies" has the table behind the choice).
 PMLE_WEIGHT_UNIT = 50_000.0
 
-# Floats that the epoch blocks (design, response and saturated-term rows)
-# and tail-average sums of one lockstep group of CV fits may hold: 3 MB, 5
-# traffic-sized fits (1,767 rows, 24/12 knots) or ~35 desk-sized ones.  A
-# traffic-sized fit costs 60 us per iteration alone, 24 us in a group of 5
-# and 18 us in one of 10, whose blocks raise the peak RSS of a traffic run
-# by 8% against 2% for groups of 5.
+# Floats that one lockstep group of CV fits may hold, each fit holding
+# optim.lockstep_floats: 3 MB, 5 traffic-sized fits (1,767 rows, 24/12
+# knots) or ~40 desk-sized ones (167 rows, 30/20 knots).  A traffic-sized
+# fit costs 60 us per iteration alone, 24 us in a group of 5 and 18 us in
+# one of 10, whose blocks raise the peak RSS of a traffic run by 8% against
+# 2% for groups of 5.
 CV_GROUP_FLOATS = 375_000
 
 
@@ -157,15 +158,12 @@ def random_search_cv(spec: GlmSpec, y, method: str, plan: CvPlan,
     params = rect[:, 0] + draws * (rect[:, 1] - rect[:, 0])
 
     # All s x k fits advance in lockstep, in groups of at most
-    # CV_GROUP_FLOATS floats; each fit keeps its keyed substream.  A fit
-    # holds one epoch of its rows and, with at most one averaging window per
-    # trace point within avg_window iterations open, that many sums.
+    # CV_GROUP_FLOATS floats; each fit keeps its keyed substream.
     train = [np.flatnonzero(folds != f) for f in range(plan.n_folds)]
     test = [np.flatnonzero(folds == f) for f in range(plan.n_folds)]
     cells = [(j, f) for j in range(plan.n_samples) for f in range(plan.n_folds)]
-    d = spec.X.shape[1] + spec.Z.shape[1]
-    per_fit = (max(map(len, train)) * (d + 2)
-               + (config.avg_window // config.trace_every + 2) * d)
+    per_fit = lockstep_floats(max(map(len, train)), spec.X.shape[1] + spec.Z.shape[1],
+                              config)
     fold_logliks = np.empty((plan.n_samples, plan.n_folds))
     done = 0
     for size in chunk_sizes(len(cells), per_fit, CV_GROUP_FLOATS):

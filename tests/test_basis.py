@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -130,3 +132,53 @@ class TestEvaluateEffect:
         D = design_matrix(b, grid)
         coef, *_ = np.linalg.lstsq(D, f1(grid), rcond=None)
         assert np.max(np.abs(D @ coef - f1(grid))) < 0.05
+
+
+# sha256 of design_matrix(basis, x, deriv).tobytes() for the points of
+# _pin_points: lo, hi, every knot, the knot midpoints and 20 uniform draws,
+# plus, in cyclic mode, points past the period and below lo.
+DESIGN_PINS = {
+    ((-1.5, 2.0, 9, "natural"), 0):
+        "9bbab8ee502f4d0492e089934cb1d9a51dd65f89dedb7d65b68853b0d5afdf1c",
+    ((-1.5, 2.0, 9, "natural"), 1):
+        "9acd419fe5dd0923ce9e738df84414471c350808acad37d57318449e3feab90c",
+    ((-1.5, 2.0, 9, "natural"), 2):
+        "d900407bef7f265d4416a3b2799f4b22758b57aacf9b042d5645b70134c63568",
+    ((0.0, 1.0, 30, "natural"), 0):
+        "7c8549eb9bffb357ad99fa1235a5b41fdc99cab43719a89b57331e9dc2de418d",
+    ((0.0, 1.0, 30, "natural"), 1):
+        "31ad48e7f4cd720d882b9217890447176b67013eec697a1dde50800dc85e9638",
+    ((0.0, 1.0, 30, "natural"), 2):
+        "372fecf4980862da89f8d2a73ed7b1cb379a24a0caee07c0862fad50de5b001c",
+    ((0.0, 24.0, 12, "cyclic"), 0):
+        "dc2583ced152a5958807c7f4d5fca260e01bc46ab8475bb5cfc241c48c2d6121",
+    ((0.0, 24.0, 12, "cyclic"), 1):
+        "2b9e4920fdca0dceb211f35556c34b45b51513deedcad0ae5d1cb1fbc1222525",
+    ((0.0, 24.0, 12, "cyclic"), 2):
+        "4db51413a24f5eef816f82e13a7451f84db0f370093e69cd553ab54bcbff5766",
+    ((-1.0, 1.0, 7, "cyclic"), 0):
+        "13b52295876468ce6c43c17096ea06c1c70c7aa73204dbf64bc1e767984de0cc",
+    ((-1.0, 1.0, 7, "cyclic"), 1):
+        "0aa5d21894a76b529dd10a6e5d0b3acd88d6a43cae87a18561ff8f1ab1b8df5c",
+    ((-1.0, 1.0, 7, "cyclic"), 2):
+        "9baca6dc38d81649869b5d425fc1eb9d3de021befe723cd8f91e5c4eb6819443",
+}
+
+
+def _pin_points(b) -> np.ndarray:
+    h = b.spacing
+    points = [b.lo, b.hi, *b.knots, *((b.knots[:-1] + b.knots[1:]) / 2),
+              *np.random.default_rng(0).uniform(b.lo, b.hi, 20)]
+    if b.mode == "cyclic":
+        points += [b.hi + 0.3 * h, b.hi + b.period + 2.5 * h, b.lo - 0.3 * h,
+                   b.lo - b.period - 1.5 * h, b.lo - 1e-13]
+    return np.array(points)
+
+
+@pytest.mark.parametrize("args,deriv", list(DESIGN_PINS))
+def test_design_matrix_is_pinned_bit_for_bit(args, deriv):
+    b = build_basis(*args)
+    x = _pin_points(b)
+    D = design_matrix(b, x, deriv=deriv)
+    assert D.shape == (len(x), b.dim) and D.dtype == np.float64
+    assert hashlib.sha256(D.tobytes()).hexdigest() == DESIGN_PINS[args, deriv]

@@ -492,7 +492,9 @@ class TestExitCodes:
         ("traffic", "summer_2019", "false"), ("traffic", "sensor", 5),
         ("traffic", "direction", 5), ("traffic", "seed", 1.5),
         ("traffic", "mean_knots", 6.5), ("traffic", "disp_knots", "4"),
-        ("cv", "method", "lasso"), ("fit", "method", "lasso")])
+        ("cv", "method", "lasso"), ("fit", "method", "lasso"),
+        ("traffic", "direction", "sideways"), ("traffic", "direction", "Inbound"),
+        ("traffic", "noise", "laplace")])
     def test_rerun_of_mistyped_value_exits_2(self, tmp_path, capsys, command, key,
                                              value):
         data = tmp_path / "data.csv"
@@ -734,6 +736,16 @@ class TestCsvRoundTrip:
 
         assert manifest["outputs"][0]["sha256"] == sha256_file(
             tmp_path / "o" / "data.csv")
+
+    @pytest.mark.parametrize("value,text", [
+        (3, "3"), (-2**63, "-9223372036854775808"), (np.int64(-7), "-7"),
+        (np.uint8(255), "255"), (True, "1"), (False, "0"), (np.bool_(True), "1.0"),
+        (0.1, "0.1"), (2.0, "2.0"), (np.float64(1e-300), "1e-300"),
+        (np.float64(-np.inf), "-inf"), ("W1", "W1")])
+    def test_cell_text(self, value, text):
+        from dropglm.runio import format_cell
+
+        assert format_cell(value) == text
 
     @pytest.mark.parametrize("command", ["simulate", "fit"])
     @pytest.mark.parametrize("seed", [999, "banana"])

@@ -303,9 +303,38 @@ class TestLockstepCv:
         split = random_search_cv(spec, y, "gaussian", plan, LOCKSTEP)
         sizes = [len(rows) for _, _, rows, _ in calls]
         assert sum(sizes) == 9 and len(sizes) > 1
-        assert sizes == ([1] * 9 if budget == 1 else [2, 2, 2, 2, 1])
+        # A fit on 40 rows holds 810 floats (optim.lockstep_floats).
+        assert sizes == ([1] * 9 if budget == 1 else [3, 3, 3])
         assert np.array_equal(split.fold_logliks, whole.fold_logliks)
         assert_each_fit_as_alone(spec, y, "gaussian", plan, LOCKSTEP, split, calls)
+
+    @pytest.mark.parametrize("shape", ["traffic", "desk"])
+    def test_benchmark_shaped_groups(self, monkeypatch, shape):
+        # The group sizes of the two benchmark CVs at the default budget: a
+        # traffic summer (92 days of 24 hours, 24/12 cyclic knots, 5 folds)
+        # and a desk gaussian scenario (n = 250, 30/20 knots, 3 folds).
+        from dropglm.model import SplineModel
+        from dropglm.simlab import ScenarioConfig, generate_dataset
+
+        config = OptimConfig(batch_size=30, max_iters=5000, avg_window=2500)
+        if shape == "traffic":
+            model = SplineModel("dpoisson", mean_knots=24, disp_knots=12, lo=0.0,
+                                hi=24.0, boundary="cyclic")
+            hours = np.tile(np.arange(24.0), 92)
+            counts = np.random.default_rng(3).poisson(
+                200.0 + 100.0 * np.sin(2 * np.pi * hours / 24)).astype(float)
+            spec, y, folds, method = model.spec(hours), counts, 5, "bernoulli"
+        else:
+            scenario = ScenarioConfig(family="gaussian", n=250, mean_knots=30,
+                                      disp_knots=20)
+            x, y = generate_dataset(scenario, 0)
+            spec, folds, method = scenario.model.spec(x), 3, "gaussian"
+        plan = CvPlan(rect=RECTS[method], n_samples=2, n_folds=folds, seed=1)
+        calls = record_groups(monkeypatch)
+        random_search_cv(spec, y, method, plan, config)
+        assert spec.n == {"traffic": 2208, "desk": 250}[shape]
+        assert [len(rows) for _, _, rows, _ in calls] == (
+            [5, 5] if shape == "traffic" else [6])
 
 
 class TestLockstepCvBindings:
