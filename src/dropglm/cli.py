@@ -33,7 +33,7 @@ from .runio import (
     MANIFEST_NAME,
     config_from_dict,
     load_json_config,
-    read_csv,
+    read_rows,
     scenario_config_from_dict,
     sha256_file,
     write_csv,
@@ -84,7 +84,7 @@ def _input_digest(path) -> str:
 
 
 def _read_xy(path):
-    _, header, rows = read_csv(path)
+    header, *rows = read_rows(path)
     if header != ["x", "y"]:
         raise DataError(f"{path}: expected header x,y, got {header}")
     try:

@@ -2,11 +2,11 @@
 
 Every output CSV starts with the comment line ``# manifest: manifest.json``
 pointing at the run manifest beside it, followed by a mandatory header row;
-comma separated, ``.`` decimal, UTF-8.  Readers preserve comment lines so a
-parse -> serialize round trip is byte-identical.  Manifests record command,
-resolved config, digest, seed and the list (with digests) of outputs, which
-is enough to rerun a command and reproduce its outputs byte for byte
-(timestamps live only in the manifest, never in outputs).
+comma separated, ``.`` decimal, UTF-8.  ``read_rows`` is the one reader of
+CSV inputs.  Manifests record command, resolved config, digest, seed and the
+list (with digests) of outputs, which is enough to rerun a command and
+reproduce its outputs byte for byte (timestamps live only in the manifest,
+never in outputs).
 """
 
 from __future__ import annotations
@@ -34,15 +34,14 @@ _MANIFEST_COMMENT = f"# manifest: {MANIFEST_NAME}"
 def format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):  # bool included: True -> "1"
+    if isinstance(value, (int, np.integer, np.bool_)):  # True -> "1"
         return str(int(value))
     return repr(float(value))
 
 
-def write_csv(path, header, rows, comments=None) -> None:
+def write_csv(path, header, rows) -> None:
     buf = io.StringIO()
-    for line in comments if comments is not None else [_MANIFEST_COMMENT]:
-        buf.write(line + "\n")
+    buf.write(_MANIFEST_COMMENT + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -50,26 +49,26 @@ def write_csv(path, header, rows, comments=None) -> None:
     Path(path).write_bytes(buf.getvalue().encode("utf-8"))
 
 
-def read_csv(path):
-    """(comment lines, header, rows-of-strings); comments keep their text."""
+def read_rows(path):
+    """Yield the rows of a CSV input as lists of strings, header first.
+
+    UTF-8 text, past a leading byte-order mark; lines starting with ``#`` and
+    blank lines are left out.  A file that cannot be opened, decoded or parsed,
+    or that has no header row, raises DataError naming the path."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = filter(None, csv.reader(ln for ln in handle if not ln.startswith("#")))
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path}: missing header row")
+            yield header
+            yield from rows
+    except OSError as exc:
+        raise DataError(f"cannot read input {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-    comments = []
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines) and lines[i].startswith("#"):
-        comments.append(lines[i])
-        i += 1
-    body = lines[i:]
-    if not body:
-        raise DataError(f"{path}: missing header row")
-    try:
-        parsed = list(csv.reader(body))
     except csv.Error as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return comments, parsed[0], parsed[1:]
 
 
 def sha256_file(path) -> str:

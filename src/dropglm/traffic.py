@@ -15,10 +15,8 @@ parameters come from random-search CV over [0,1]^2 (Bernoulli) or [0,2]^2
 
 from __future__ import annotations
 
-import csv
 import datetime
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +26,7 @@ from .errors import ConfigError, DataError
 from .model import SplineModel, fitted_curves
 from .optim import OptimConfig
 from .rngs import substream
+from .runio import read_rows
 from .tuning import CvPlan, CvResult, fit_method, random_search_cv
 
 DIRECTIONS = ("inbound", "outbound")
@@ -54,56 +53,45 @@ class TrafficData:
 
 
 def read_traffic_csv(path) -> TrafficData:
-    """Parse a snapshot in one pass; bad rows and repeated keys are counted
-    in ``rejected``.  Lines starting with ``#`` are skipped, blank lines are
-    ignored, and fields past the required columns are allowed."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"traffic snapshot not found: {path}")
+    """Parse a snapshot in one pass over ``runio.read_rows`` (so ``#`` lines
+    and blank lines are left out); bad rows and repeated keys are counted in
+    ``rejected``, and fields past the required columns are allowed."""
     records = []
     seen = set()
     rejected = 0
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(ln for ln in handle if not ln.startswith("#"))
-            header = next(reader, None)
-            required = ("sensor", "direction", "date", "hour", "count")
-            if header is None or not set(required) <= set(header):
-                raise DataError(
-                    f"traffic snapshot needs columns {sorted(required)}, got {header}")
-            # A repeated column name reads its last occurrence.
-            column = {name: i for i, name in enumerate(header)}
-            indices = [column[c] for c in required]
-            i_sensor, i_direction, i_date, i_hour, i_count = indices
-            width = 1 + max(indices)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:
-                    rejected += 1
-                    continue
-                direction = row[i_direction].strip().lower()
-                try:
-                    date = datetime.date.fromisoformat(row[i_date].strip())
-                    hour = int(row[i_hour])
-                    count = int(row[i_count])
-                except ValueError:
-                    rejected += 1
-                    continue
-                if direction not in DIRECTIONS or not 0 <= hour <= 24 or count < 0:
-                    rejected += 1
-                    continue
-                rec = TrafficRecord(row[i_sensor].strip(), direction, date, hour % 24, count)
-                key = rec[:4]
-                if key in seen:
-                    rejected += 1
-                    continue
-                seen.add(key)
-                records.append(rec)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    rows = read_rows(path)
+    header = next(rows)
+    required = ("sensor", "direction", "date", "hour", "count")
+    if not set(required) <= set(header):
+        raise DataError(
+            f"{path}: traffic snapshot needs columns {sorted(required)}, got {header}")
+    # A repeated column name reads its last occurrence.
+    column = {name: i for i, name in enumerate(header)}
+    indices = [column[c] for c in required]
+    i_sensor, i_direction, i_date, i_hour, i_count = indices
+    width = 1 + max(indices)
+    for row in rows:
+        if len(row) < width:
+            rejected += 1
+            continue
+        direction = row[i_direction].strip().lower()
+        try:
+            date = datetime.date.fromisoformat(row[i_date].strip())
+            hour = int(row[i_hour])
+            count = int(row[i_count])
+        except ValueError:
+            rejected += 1
+            continue
+        if direction not in DIRECTIONS or not 0 <= hour <= 24 or count < 0:
+            rejected += 1
+            continue
+        rec = TrafficRecord(row[i_sensor].strip(), direction, date, hour % 24, count)
+        key = rec[:4]
+        if key in seen:
+            rejected += 1
+            continue
+        seen.add(key)
+        records.append(rec)
     return TrafficData(records=records, rejected=rejected)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from dropglm import families as fam
 from dropglm.cli import main
-from dropglm.runio import read_csv, write_csv
+from dropglm.runio import read_rows, write_csv
 
 
 LEAN_OPTIM = {"batch_size": 20, "max_iters": 400, "tol": 1e-12, "avg_window": 200}
@@ -27,6 +27,12 @@ def write_xy(path: Path, x) -> str:
     y = np.sin(2 * np.pi * np.nan_to_num(x))
     write_csv(path, ["x", "y"], np.column_stack([x, y]))
     return str(path)
+
+
+def read_table(path) -> tuple:
+    """(header, rows) of an output CSV, rows as lists of strings."""
+    header, *rows = read_rows(path)
+    return header, rows
 
 
 def small_model(tmp_path: Path) -> str:
@@ -59,8 +65,9 @@ class TestSimulate:
         a = (tmp_path / "a" / "data.csv").read_bytes()
         b = (tmp_path / "b" / "data.csv").read_bytes()
         assert a == b
-        comments, header, rows = read_csv(tmp_path / "a" / "data.csv")
-        assert comments == ["# manifest: manifest.json"]
+        with (tmp_path / "a" / "data.csv").open(encoding="utf-8") as handle:
+            assert handle.readline() == "# manifest: manifest.json\n"
+        header, rows = read_table(tmp_path / "a" / "data.csv")
         assert header == ["x", "y"]
         assert len(rows) == 250
 
@@ -68,7 +75,7 @@ class TestSimulate:
         cfg = write_config(tmp_path / "cfg.json",
                            scenario_payload(family="dbinomial", n=100))
         assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o")) == 0
-        _, _, rows = read_csv(tmp_path / "o" / "data.csv")
+        _, rows = read_table(tmp_path / "o" / "data.csv")
         y = np.array([float(r[1]) for r in rows])
         assert np.all((y >= 0) & (y <= 70))
 
@@ -120,8 +127,8 @@ class TestScenario:
         out = tmp_path / "run"
         run_cli("scenario", "--config", cfg, "--methods", "bernoulli", "--out",
                 str(out))
-        _, rhead, rrows = read_csv(out / "results.csv")
-        _, shead, srows = read_csv(out / "summary.csv")
+        rhead, rrows = read_table(out / "results.csv")
+        shead, srows = read_table(out / "summary.csv")
         vals = np.array([float(r[rhead.index("rmse_disp")]) for r in rrows
                          if r[rhead.index("diverged")] == "0"])
         row = [r for r in srows if r[2] == "rmse_disp"][0]
@@ -155,7 +162,7 @@ class TestCvAndFit:
         assert run_cli("cv", "--data", data, "--config", model, "--method",
                        "bernoulli", "--samples", "1", "--folds", "2",
                        "--seed", "3", "--out", str(out)) == 0
-        _, header, rows = read_csv(out / "cv.csv")
+        header, rows = read_table(out / "cv.csv")
         assert len(rows) == 1
         assert rows[0][header.index("selected_flag")] == "1"
 
@@ -166,12 +173,12 @@ class TestCvAndFit:
         assert run_cli("fit", "--data", data, "--config", model, "--method",
                        "pmle", "--params", "10,10", "--seed", "3",
                        "--out", str(out)) == 0
-        _, header, rows = read_csv(out / "curve.csv")
+        header, rows = read_table(out / "curve.csv")
         assert header == ["x", "mean", "dispersion"]
         assert len(rows) == 501
         disp = np.array([float(r[2]) for r in rows])
         assert np.all(disp > 0)
-        _, _, coef_rows = read_csv(out / "coefficients.csv")
+        _, coef_rows = read_table(out / "coefficients.csv")
         assert len(coef_rows) == 8 + 5
 
     def test_fit_rerun_reproduces_bytes(self, tmp_path):
@@ -219,6 +226,31 @@ def make_traffic_csv(path: Path, days=40, wrap_hour=False):
     return 8.0, 17.5
 
 
+def write_input(path: Path, command: str) -> Path:
+    """A small input file for ``command``: a traffic snapshot or x,y data."""
+    if command == "traffic":
+        make_traffic_csv(path, days=3)
+    else:
+        write_xy(path, np.linspace(0, 1, 40))
+    return path
+
+
+def csv_outputs(tmp_path: Path, command: str, data: Path, name: str) -> dict:
+    """Run ``cv``, ``fit`` or ``traffic`` on ``data`` with small settings into
+    ``tmp_path / name``; {file name: bytes} of its output CSVs."""
+    if command == "traffic":
+        rest = ["--sensor", "W1", "--direction", "inbound", "--samples", "1",
+                "--folds", "2", "--config",
+                write_config(tmp_path / "optim.json", {"optim": LEAN_OPTIM})]
+    else:
+        rest = ["--config", small_model(tmp_path), "--method", "bernoulli",
+                *(["--samples", "2", "--folds", "2"] if command == "cv"
+                  else ["--params", "0.1,0.1"])]
+    out = tmp_path / name
+    assert run_cli(command, "--data", str(data), *rest, "--out", str(out)) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+
 def local_maxima(grid, values):
     peaks = []
     n = len(values)
@@ -243,7 +275,7 @@ class TestTraffic:
                        "--direction", "inbound", "--noise", "bernoulli",
                        "--samples", "4", "--folds", "3", "--seed", "11",
                        "--config", optim_cfg, "--out", str(out)) == 0
-        _, header, rows = read_csv(out / "fitted.csv")
+        header, rows = read_table(out / "fitted.csv")
         assert header == ["hour", "mean", "dispersion"]
         assert len(rows) == 241
         grid = np.array([float(r[0]) for r in rows])
@@ -267,8 +299,50 @@ class TestTraffic:
         b = (tmp_path / "b" / "out" / "fitted.csv").read_bytes()
         assert a == b
         # --samples 1 degenerates CV to a single evaluated pair.
-        _, _, cv_rows = read_csv(tmp_path / "a" / "out" / "cv.csv")
+        _, cv_rows = read_table(tmp_path / "a" / "out" / "cv.csv")
         assert len(cv_rows) == 1
+
+    def test_reader_is_pinned_on_an_adversarial_snapshot(self, tmp_path):
+        # Byte-order mark, CRLF endings, comment and blank lines after the
+        # header, a repeated column name (its last occurrence is read), extra
+        # and missing fields, bad dates, hours and counts, hour 24 and
+        # duplicate keys: the parsed records and the reject count are pinned.
+        import hashlib
+
+        from dropglm.traffic import read_traffic_csv
+
+        lines = [
+            "sensor,hour,direction,note,date,count,hour",
+            "# a comment after the header",
+            "",
+            "W1,99,inbound,ok,2019-06-01,10,0",
+            "W1,99,inbound,ok,2019-06-01,11,1",
+            " W2 ,x, Outbound ,,2019-06-01,12,24",
+            "W2,x,outbound,,2019-06-01,13,0",
+            "",
+            "# another comment",
+            "W1,0,inbound,dup,2019-06-01,14,1",
+            "W1,0,inbound",
+            "W1,0,inbound,short,2019-06-02,5",
+            "W1,0,inbound,x,2019-06-31,5,3",
+            "W1,0,inbound,x,2019/06/02,5,3",
+            "W1,0,inbound,x,2019-06-02,5,25",
+            "W1,0,inbound,x,2019-06-02,5,-1",
+            "W1,0,inbound,x,2019-06-02,5,3.5",
+            "W1,0,inbound,x,2019-06-02,-5,3",
+            "W1,0,inbound,x,2019-06-02,five,3",
+            "W1,0,inbound,x,2019-06-02, 7 ,4",
+            "W1,0,sideways,x,2019-06-02,5,5",
+            'W1,0,inbound,"quoted, note",2019-06-02,8,6,extra,fields',
+            "W1,0,inbound,x,2019-06-02,9,24",
+            "W1,0,inbound,x,2019-06-02,9,0",
+        ]
+        path = tmp_path / "snapshot.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n")
+        data = read_traffic_csv(path)
+        assert (len(data.records), data.rejected) == (6, 13)
+        digest = hashlib.sha256(repr((data.records, data.rejected)).encode()).hexdigest()
+        assert digest == "5e7c3c060e5016877f842c0603f10f4b25d02c130e39f290e71841db7d1cbf4c"
 
 
 class TestExitCodes:
@@ -368,6 +442,23 @@ class TestExitCodes:
         Path(data).unlink()
         assert run_cli("rerun", str(out / "manifest.json"), "--out",
                        str(tmp_path / "r")) == 3
+
+    @pytest.mark.parametrize("command", ["cv", "fit", "traffic"])
+    def test_digestless_rerun_with_missing_input_exits_3(self, tmp_path, capsys,
+                                                          command):
+        # A manifest without a data_sha256 reads its input unchecked, so the
+        # reader itself must report the missing file.
+        data = str(tmp_path / "absent.csv")
+        config = {"cv": CV_CONFIG, "fit": FIT_CONFIG,
+                  "traffic": {"sensor": "W1", "direction": "inbound",
+                              "noise": "bernoulli", "samples": 1, "folds": 2,
+                              "seed": 0, "optim": LEAN_OPTIM}}[command]
+        path = write_config(tmp_path / "manifest.json",
+                            {"command": command, "config": config | {"data": data}})
+        out = tmp_path / "o"
+        assert run_cli("rerun", path, "--out", str(out)) == 3
+        assert data in capsys.readouterr().err
+        assert not out.exists()
 
     # The last two have a header but a malformed row.
     @pytest.mark.parametrize("text", ["", "# only a comment\n", "x,y\n0.5\n",
@@ -541,26 +632,11 @@ class TestExitCodes:
     def test_byte_order_mark_is_read_past(self, tmp_path, command):
         # Spreadsheet tools save UTF-8 CSVs with a byte-order mark; the data
         # reads as it does without one, to the same outputs.
-        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        if command == "traffic":
-            make_traffic_csv(plain, days=3)
-            rest = ["--sensor", "W1", "--direction", "inbound", "--samples", "1",
-                    "--folds", "2", "--config",
-                    write_config(tmp_path / "optim.json", {"optim": LEAN_OPTIM})]
-        else:
-            write_xy(plain, np.linspace(0, 1, 40))
-            rest = ["--config", small_model(tmp_path), "--method", "bernoulli",
-                    *(["--samples", "2", "--folds", "2"] if command == "cv"
-                      else ["--params", "0.1,0.1"])]
+        plain = write_input(tmp_path / "plain.csv", command)
+        marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        for data in (plain, marked):
-            assert run_cli(command, "--data", str(data), *rest,
-                           "--out", str(tmp_path / data.stem)) == 0
-        outputs = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
-        assert outputs == sorted(p.name for p in (tmp_path / "marked").glob("*.csv"))
-        for name in outputs:
-            assert ((tmp_path / "plain" / name).read_bytes()
-                    == (tmp_path / "marked" / name).read_bytes()), name
+        assert (csv_outputs(tmp_path, command, marked, "marked")
+                == csv_outputs(tmp_path, command, plain, "plain"))
 
     @pytest.mark.parametrize("command", ["fit", "simulate", "rerun"])
     def test_undecodable_config_exits_2(self, tmp_path, capsys, command):
@@ -721,9 +797,9 @@ class TestCsvRoundTrip:
         cfg = write_config(tmp_path / "cfg.json", scenario_payload(n=40))
         run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "o"))
         source = tmp_path / "o" / "data.csv"
-        comments, header, rows = read_csv(source)
+        header, rows = read_table(source)
         copy = tmp_path / "copy.csv"
-        write_csv(copy, header, rows, comments=comments)
+        write_csv(copy, header, rows)
         assert source.read_bytes() == copy.read_bytes()
 
     def test_manifest_lists_outputs_with_digests(self, tmp_path):
@@ -739,9 +815,9 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("value,text", [
         (3, "3"), (-2**63, "-9223372036854775808"), (np.int64(-7), "-7"),
-        (np.uint8(255), "255"), (True, "1"), (False, "0"), (np.bool_(True), "1.0"),
-        (0.1, "0.1"), (2.0, "2.0"), (np.float64(1e-300), "1e-300"),
-        (np.float64(-np.inf), "-inf"), ("W1", "W1")])
+        (np.uint8(255), "255"), (True, "1"), (False, "0"), (np.bool_(True), "1"),
+        (np.bool_(False), "0"), (0.1, "0.1"), (2.0, "2.0"),
+        (np.float64(1e-300), "1e-300"), (np.float64(-np.inf), "-inf"), ("W1", "W1")])
     def test_cell_text(self, value, text):
         from dropglm.runio import format_cell
 
@@ -761,3 +837,44 @@ class TestCsvRoundTrip:
         assert run_cli("rerun", path, "--out", str(tmp_path / "o")) == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["seed"] == expected
+
+
+class TestCsvInput:
+    """Every CSV input is read by ``runio.read_rows``: comment and blank lines
+    are left out wherever they stand, and line endings do not matter."""
+
+    @pytest.mark.parametrize("variant", ["trailing-blank", "comment-after-header",
+                                         "crlf", "blank-and-comment-before-header"])
+    @pytest.mark.parametrize("command", ["cv", "fit", "traffic"])
+    def test_layout_does_not_change_outputs(self, tmp_path, command, variant):
+        clean = write_input(tmp_path / "clean.csv", command)
+        text = clean.read_bytes()
+        lines = text.splitlines(keepends=True)
+        cut = next(i for i, line in enumerate(lines) if not line.startswith(b"#")) + 1
+        head, body = b"".join(lines[:cut]), b"".join(lines[cut:])
+        data = tmp_path / "data.csv"
+        data.write_bytes({"trailing-blank": text + b"\n",
+                          "comment-after-header": head + b"# a note\n" + body,
+                          "crlf": text.replace(b"\n", b"\r\n"),
+                          "blank-and-comment-before-header": b"\n# source\n\n" + text,
+                          }[variant])
+        assert (csv_outputs(tmp_path, command, data, "laid-out")
+                == csv_outputs(tmp_path, command, clean, "clean"))
+
+    def test_only_runio_imports_csv(self):
+        import ast
+
+        import dropglm
+
+        importers = set()
+        for path in Path(dropglm.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                else:
+                    continue
+                if "csv" in names:
+                    importers.add(path.stem)
+        assert importers == {"runio"}
