@@ -16,28 +16,29 @@ their gradient to the score.
 There is one loop, and it advances many fits at once: :func:`fit_many` puts
 F fits on a leading fit axis, each naming its training rows of one shared
 design by an index array, and :func:`fit` is its call with one fit on
-``arange(n)``.  Each fit draws from its own generator, is checked and
-stopped on its own, and gets the numbers it would get alone: the products
-over the fit axis are stacked ``matmul`` calls, which give each fit the bits
-of its own matrix-vector products.  The per-call overhead of numpy on small
-arrays, which dominates one fit's iteration, is then shared by F fits.
+``arange(n)``.  Every fit runs exactly ``max_iters`` iterations; there is no
+stopping rule.  Each fit draws from its own generator, is checked on its
+own, and gets the numbers it would get alone: the products over the fit axis
+are stacked ``matmul`` calls, which give each fit the bits of its own
+matrix-vector products.  The per-call overhead of numpy on small arrays,
+which dominates one fit's iteration, is then shared by F fits.
 :func:`lockstep_floats` states the memory one fit holds, so callers can
 size their groups.
 
 Determinism contract: identical seeds, data and configs produce bitwise
-identical results, and the draws of a fit that stops early are a prefix of
-those of the same fit run longer.
+identical results, and the draws of a fit run for fewer iterations are a
+prefix of those of the same fit run longer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dropout import NoiseSpec
 from .errors import ConfigError
-from .model import GlmSpec, loglik_terms, score_terms
+from .model import GlmSpec, score_terms
 
 # Safety clamps applied to linear predictors during fitting only; divergent
 # hyperparameters are expected under random-search CV and must not overflow.
@@ -51,23 +52,18 @@ _CLEAR_SQUARES = 1e300
 @dataclass(frozen=True)
 class OptimConfig:
     batch_size: int = 30
-    max_iters: int = 200_000
-    window: int = 200           # stationarity window, in iterations
-    tol: float = 1e-6           # relative change of windowed mean log-likelihood
+    max_iters: int = 20_000     # iterations every fit runs
     rho: float = 0.95           # ADADELTA decay
     eps: float = 1e-6           # ADADELTA stabilizer
-    trace_every: int = 100
     avg_window: int = 2000      # tail-averaging window for the returned estimate
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_iters < 1 or self.trace_every < 1:
-            raise ConfigError("batch_size, max_iters and trace_every must be positive")
+        if self.batch_size < 1 or self.max_iters < 1 or self.avg_window < 1:
+            raise ConfigError("batch_size, max_iters and avg_window must be positive")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho must be in (0,1), got {self.rho}")
-        if not (0 < self.eps < np.inf and 0 < self.tol < np.inf):
-            raise ConfigError(f"eps and tol must be finite and positive: {self.eps}, {self.tol}")
-        if self.window < 1 or self.avg_window < 1:
-            raise ConfigError("window and avg_window must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +71,7 @@ class FitResult:
     beta: np.ndarray
     alpha: np.ndarray
     n_iter: int
-    trace_iters: np.ndarray
-    trace_loglik: np.ndarray
-    termination: str  # "max-iter" | "stationary"
+    termination: str  # always "max-iter": every fit runs its budget
     rejected_steps: int = 0
 
     @property
@@ -119,11 +113,6 @@ def adadelta_step(state: AdadeltaState, grad: np.ndarray, rho: float,
     return step, state
 
 
-def _clamp(v: np.ndarray, bound: float) -> np.ndarray:
-    """``np.clip(v, -bound, bound)``, NaN included, at under half its cost."""
-    return np.minimum(np.maximum(v, -bound), bound)
-
-
 def warm_start_beta(spec: GlmSpec, y) -> np.ndarray:
     """Ridge-stabilized least squares of the link-transformed response."""
     kernel = spec.kernel
@@ -156,9 +145,8 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     every row of ``spec``: :func:`fit_many` with one fit on ``arange(n)``.
 
     ``penalty`` is an optional object with a ``gradient(beta, alpha)`` method
-    returning the gradient of the penalty to subtract from the score and a
-    ``value(beta, alpha)`` method entering the traced objective (used by the
-    penalized-MLE baseline).
+    returning the gradient of the penalty to subtract from the score (used by
+    the penalized-MLE baseline).
     """
     return fit_many(spec, y, [np.arange(spec.n)], [noise], config, [rng], [penalty])[0]
 
@@ -173,8 +161,7 @@ def fit_many(spec: GlmSpec, y, rows, noises, config: OptimConfig, rngs,
     numbers it would get alone: it draws from its own generator in
     :func:`fit`'s order, and the products over the fit axis are stacked
     ``matmul`` calls, which give each fit the bits of its own.  Fits whose
-    epochs hold the same number of batches share one loop; a fit that stops
-    leaves it.
+    epochs hold the same number of batches share one loop.
     """
     y = spec.kernel.check_support(y)
     sizes = [len(r) for r in rows]
@@ -190,54 +177,28 @@ def fit_many(spec: GlmSpec, y, rows, noises, config: OptimConfig, rngs,
 
 @dataclass
 class _Fit:
-    """One fit of a lockstep run: its inputs, trace values and result."""
+    """One fit of a lockstep run: its inputs and result."""
 
     rows: np.ndarray
     n: int
     noise: NoiseSpec
     rng: np.random.Generator
     penalty: object
-    values: list = field(default_factory=list)
     result: FitResult | None = None
-
-
-def _stop_windows(config: OptimConfig):
-    """Every iteration at which a fit can stop, with its averaging window.
-
-    A fit stops at a trace point once it has two stationarity windows of
-    trace values, or at ``max_iters``.  Its estimate is the mean of its last
-    ``take`` iterates, never reaching into the first half of the run.
-    Returns, as lists, the ascending stop iterations, the first iteration
-    of each one's window and its length ``take``, with the most windows
-    that are open (started and not ended) at one iteration.
-    """
-    every = config.trace_every
-    ends = np.arange(2 * max(1, config.window // every) * every,
-                     config.max_iters + 1, every)
-    if ends.size == 0 or ends[-1] != config.max_iters:
-        ends = np.append(ends, config.max_iters)
-    takes = np.minimum(min(config.avg_window, config.max_iters),
-                       np.maximum(1, ends // 2))
-    starts = ends - takes + 1
-    open_most = np.max(np.searchsorted(starts, starts, "right")
-                       - np.searchsorted(ends, starts, "left"))
-    return ends.tolist(), starts.tolist(), takes.tolist(), int(open_most)
 
 
 def lockstep_floats(n: int, dim: int, config: OptimConfig) -> int:
     """Floats one fit of :func:`fit_many` holds on ``n`` rows with ``dim``
     coefficients: its epoch blocks, one row of ``dim + 3`` (design, response,
-    saturated term and row index) per batch row of an epoch, and its open
-    tail-average sums of ``dim`` each."""
+    saturated term and row index) per batch row of an epoch, and its
+    tail-average sum of ``dim``."""
     rows = n // config.batch_size * config.batch_size
-    return rows * (dim + 3) + _stop_windows(config)[3] * dim
+    return rows * (dim + 3) + dim
 
 
 def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig):
-    """Run ``fits``, whose epochs all hold ``per_epoch`` batches, setting each
-    one's ``result``.  Slot s of every per-fit array holds an active fit;
-    when a fit stops, the last active slot moves into its place and the
-    loop works on ``[:k]`` views of the first k slots."""
+    """Run ``fits``, whose epochs all hold ``per_epoch`` batches, for
+    ``max_iters`` iterations, setting each one's ``result``."""
     kernel = spec.kernel
     X, Z = spec.X, spec.Z
     F, B = len(fits), config.batch_size
@@ -245,90 +206,75 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig)
     phi = spec.phi
     sat = kernel.saturated_term(y)
     theta_clamp = _THETA_CLAMPS[kernel.name]
-    rho, eps, trace_every = config.rho, config.eps, config.trace_every
-    max_iters = config.max_iters
-    points_per_window = max(1, config.window // trace_every)
+    rho, eps, max_iters = config.rho, config.eps, config.max_iters
 
     # One vector w = [beta; alpha] per fit, and one ADADELTA state over all.
     w = np.zeros((F, p + q))
     for s, f in enumerate(fits):
         w[s, :p] = warm_start_beta(spec.rows(f.rows), y[f.rows])
+    beta, alpha = w[:, :p, None], w[:, p:, None]
     state = AdadeltaState.zeros(w.shape)
     grad = np.empty(w.shape)
-    scale = np.array([f.n / B for f in fits])
+    grad_beta, grad_alpha = grad[:, :p, None], grad[:, p:, None]
+    grad_flat = grad.reshape(-1)
+    sq_left, sq_right = grad[:, None, :], grad[:, :, None]
+    scale = np.array([f.n / B for f in fits])[:, None]
     rejected = np.zeros(F, dtype=int)
+    penalized = [(s, f.penalty) for s, f in enumerate(fits) if f.penalty is not None]
     # Each epoch's design rows with the noise multiplied in, batch-major so
-    # that batch b of the active fits is the one block ``Xk[b]``; y and the
-    # saturated term carry a trailing axis so every (k, B, 1) operand lines up.
+    # that batch b of every fit is the one block ``Xe[b]``; y and the
+    # saturated term carry a trailing axis so every (F, B, 1) operand lines up.
     Xe = np.empty((per_epoch, F, B, p))
     Ze = np.empty((per_epoch, F, B, q))
     ye = np.empty((per_epoch, F, B, 1))
     sate = np.empty((per_epoch, F, B, 1))
+    XeT, ZeT = Xe.transpose(0, 1, 3, 2), Ze.transpose(0, 1, 3, 2)
     epoch_rows = np.empty((per_epoch, F, B), dtype=np.intp)
     theta = np.empty((F, B, 1))
     eta = np.empty((F, B, 1))
 
-    # The returned estimate is the average of the trailing iterates: ADADELTA
-    # steps do not vanish at an optimum, so the chain jitters (mini-batch
-    # noise) or limit-cycles symmetrically (stiff penalties); tail averaging
-    # removes both.  Every window a fit may stop at is known in advance, so
-    # each open window keeps a running sum that starts as a copy of its
-    # first iterate and adds the later ones in order: the bits of the mean
-    # of a ring of iterates (numpy sums a 2-d array's rows in order), in
-    # ``open_most`` rows per fit instead of ``avg_window``.  The open windows
-    # lo..hi-1 sit in rows 0..hi-lo-1, so window lo, the one a fit stopping
-    # now averages, is row 0.
-    ends, starts, takes, open_most = _stop_windows(config)
-    sums = np.empty((open_most, F, p + q))
-    lo = hi = 0
-    trace_iters: list[int] = []
+    # The returned estimate is the mean of the last ``take`` iterates:
+    # ADADELTA steps do not vanish at an optimum, so the chain jitters
+    # (mini-batch noise) or limit-cycles symmetrically (stiff penalties);
+    # tail averaging removes both.  The average never reaches into the first
+    # half of the run.  Its running sum starts as a copy of iterate ``first``
+    # (not as zeros, which would turn a -0.0 into 0.0) and adds the later ones
+    # in order: the bits of the mean of a ring of iterates (numpy sums a 2-d
+    # array's rows in order), in one row per fit.
+    take = min(config.avg_window, max(1, max_iters // 2))
+    first = max_iters - take + 1
+    total = np.empty(w.shape)
 
-    k, viewed = F, -1
     for it in range(1, max_iters + 1):
-        if k != viewed:
-            viewed = k
-            Xk, Zk, yk, satk = Xe[:, :k], Ze[:, :k], ye[:, :k], sate[:, :k]
-            rows_k = epoch_rows[:, :k]
-            XkT, ZkT = Xk.transpose(0, 1, 3, 2), Zk.transpose(0, 1, 3, 2)
-            wk, beta_k, alpha_k = w[:k], w[:k, :p, None], w[:k, p:, None]
-            theta_k, eta_k = theta[:k], eta[:k]
-            grad_k, scale_k = grad[:k], scale[:k, None]
-            grad_beta, grad_alpha = grad[:k, :p, None], grad[:k, p:, None]
-            grad_flat = grad_k.reshape(-1)
-            sq_left, sq_right = grad[:k, None, :], grad[:k, :, None]
-            state_k = AdadeltaState(state.avg_sq_grad[:k], state.avg_sq_step[:k])
-            penalized = [(s, f.penalty) for s, f in enumerate(fits[:k])
-                         if f.penalty is not None]
-            open_k = sums[: hi - lo, :k]
         b = (it - 1) % per_epoch
         if b == 0:
             # Each epoch draws, per fit and in this order, its batches and
-            # then the whole epoch's noise for each noisy side, so the draws
-            # never depend on when the fit stops.
-            for s, f in enumerate(fits[:k]):
+            # then the whole epoch's noise for each noisy side, so a shorter
+            # run's draws are a prefix of a longer one's.
+            for s, f in enumerate(fits):
                 batches = epoch_batches(f.n, B, f.rng)
-                rows_k[:, s] = f.rows[batches]
-            X.take(rows_k, axis=0, out=Xk, mode="clip")
-            Z.take(rows_k, axis=0, out=Zk, mode="clip")
-            y.take(rows_k, out=yk[..., 0], mode="clip")
-            sat.take(rows_k, out=satk[..., 0], mode="clip")
-            for s, f in enumerate(fits[:k]):
+                epoch_rows[:, s] = f.rows[batches]
+            X.take(epoch_rows, axis=0, out=Xe, mode="clip")
+            Z.take(epoch_rows, axis=0, out=Ze, mode="clip")
+            y.take(epoch_rows, out=ye[..., 0], mode="clip")
+            sat.take(epoch_rows, out=sate[..., 0], mode="clip")
+            for s, f in enumerate(fits):
                 if f.noise.mean_param > 0:
-                    Xk[:, s] *= f.noise.draw("mean", (per_epoch, B, p), f.rng)
+                    Xe[:, s] *= f.noise.draw("mean", (per_epoch, B, p), f.rng)
                 if f.noise.disp_param > 0:
-                    Zk[:, s] *= f.noise.draw("disp", (per_epoch, B, q), f.rng)
+                    Ze[:, s] *= f.noise.draw("disp", (per_epoch, B, q), f.rng)
 
-        np.matmul(Xk[b], beta_k, out=theta_k)
-        np.maximum(theta_k, -theta_clamp, out=theta_k)
-        np.minimum(theta_k, theta_clamp, out=theta_k)
-        np.matmul(Zk[b], alpha_k, out=eta_k)
-        np.maximum(eta_k, -_ETA_CLAMP, out=eta_k)
-        np.minimum(eta_k, _ETA_CLAMP, out=eta_k)
-        gamma = np.exp(eta_k, out=eta_k)
-        u_beta, u_alpha = score_terms(kernel, theta_k, gamma, yk[b], satk[b], phi)
-        np.matmul(XkT[b], u_beta, out=grad_beta)
-        np.matmul(ZkT[b], u_alpha, out=grad_alpha)
-        grad_k *= scale_k
+        np.matmul(Xe[b], beta, out=theta)
+        np.maximum(theta, -theta_clamp, out=theta)
+        np.minimum(theta, theta_clamp, out=theta)
+        np.matmul(Ze[b], alpha, out=eta)
+        np.maximum(eta, -_ETA_CLAMP, out=eta)
+        np.minimum(eta, _ETA_CLAMP, out=eta)
+        gamma = np.exp(eta, out=eta)
+        u_beta, u_alpha = score_terms(kernel, theta, gamma, ye[b], sate[b], phi)
+        np.matmul(XeT[b], u_beta, out=grad_beta)
+        np.matmul(ZeT[b], u_alpha, out=grad_alpha)
+        grad *= scale
         for s, penalty in penalized:
             pen_beta, pen_alpha = penalty.gradient(w[s, :p], w[s, p:])
             grad[s, :p] -= pen_beta
@@ -339,11 +285,11 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig)
         # are.  A sum of squares over all fits far below overflow clears
         # every fit at once.
         if grad_flat @ grad_flat < _CLEAR_SQUARES:
-            step, _ = adadelta_step(state_k, grad_k, rho, eps)
-            wk += step
+            step, _ = adadelta_step(state, grad, rho, eps)
+            w += step
         else:
             ok = np.isfinite(np.matmul(sq_left, sq_right)[:, 0, 0])
-            rejected[:k] += ~ok
+            rejected += ~ok
             if ok.any():
                 idx = np.flatnonzero(ok)
                 part = AdadeltaState(state.avg_sq_grad[idx], state.avg_sq_step[idx])
@@ -352,65 +298,12 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig)
                 state.avg_sq_step[idx] = part.avg_sq_step
                 w[idx] += step
 
-        open_k += wk
-        while hi < len(starts) and starts[hi] == it:
-            sums[hi - lo, :k] = wk
-            hi += 1
-            open_k = sums[: hi - lo, :k]
+        if it > first:
+            total += w
+        elif it == first:
+            total[:] = w
 
-        if it % trace_every == 0 or it == max_iters:
-            stopped = []
-            if it % trace_every == 0:
-                trace_iters.append(it)
-                for s, f in enumerate(fits[:k]):
-                    value = _traced_value(kernel, X, Z, y, f.rows, w[s, :p], w[s, p:],
-                                          phi, theta_clamp)
-                    if f.penalty is not None:
-                        value -= f.penalty.value(w[s, :p], w[s, p:])
-                    f.values.append(value)
-                    if _stationary(f.values, points_per_window, config.tol):
-                        stopped.append((s, "stationary"))
-            if it == max_iters:
-                done = {s for s, _ in stopped}
-                stopped += [(s, "max-iter") for s in range(k) if s not in done]
-            for s, termination in stopped:
-                avg = sums[0, s] / takes[lo]
-                fits[s].result = FitResult(
-                    beta=avg[:p],
-                    alpha=avg[p:],
-                    n_iter=it,
-                    trace_iters=np.asarray(trace_iters, dtype=int),
-                    trace_loglik=np.asarray(fits[s].values, dtype=float),
-                    termination=termination,
-                    rejected_steps=int(rejected[s]),
-                )
-            for s, _ in sorted(stopped, reverse=True):
-                k -= 1
-                if s != k:
-                    for a in (w, state.avg_sq_grad, state.avg_sq_step, scale, rejected):
-                        a[s] = a[k]
-                    for a in (sums, Xe, Ze, ye, sate):
-                        a[:, s] = a[:, k]
-                    fits[s], fits[k] = fits[k], fits[s]
-            if k == 0:
-                break
-            if ends[lo] == it:
-                sums[: hi - lo - 1] = sums[1 : hi - lo]
-                lo += 1
-            open_k = sums[: hi - lo, :k]
-
-
-def _stationary(values: list, points: int, tol: float) -> bool:
-    """Whether the means of the last two windows of ``points`` trace values
-    agree within ``tol`` relative to 1 + |older mean|."""
-    if len(values) < 2 * points:
-        return False
-    recent = np.mean(values[-points:])
-    prev = np.mean(values[-2 * points : -points])
-    return bool(np.isfinite(recent) and abs(recent - prev) <= tol * (1.0 + abs(prev)))
-
-
-def _traced_value(kernel, X, Z, y, rows, beta, alpha, phi, theta_clamp) -> float:
-    """The fit's log-likelihood on its rows, at the clamped predictors."""
-    return float(np.sum(loglik_terms(kernel, _clamp(X[rows] @ beta, theta_clamp),
-                                     _clamp(Z[rows] @ alpha, _ETA_CLAMP), y[rows], phi)))
+    for s, f in enumerate(fits):
+        avg = total[s] / take
+        f.result = FitResult(beta=avg[:p], alpha=avg[p:], n_iter=max_iters,
+                             termination="max-iter", rejected_steps=int(rejected[s]))

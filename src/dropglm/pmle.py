@@ -5,8 +5,8 @@ the spline coefficients: P = D2' D2, so affine coefficient sequences are
 unpenalized.  Fitting reuses the SGD/ADADELTA engine with noise disabled so
 comparisons against dropout isolate the penalty, not the optimizer.  CV fits
 of the baseline run in lockstep with each other on that engine
-(``optim.fit_many``), each calling its own penalty's ``gradient`` and
-``value``; a single fit goes through :func:`pmle_fit`.
+(``optim.fit_many``), each calling its own penalty's ``gradient``; a single
+fit goes through :func:`pmle_fit`.
 
 The weights of :class:`DiffPenalty` penalize the summed log-likelihood as
 written.  The search rectangle's weights are in other units: the ``pmle``

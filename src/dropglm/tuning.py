@@ -44,7 +44,7 @@ PMLE_WEIGHT_UNIT = 50_000.0
 
 # Floats that one lockstep group of CV fits may hold, each fit holding
 # optim.lockstep_floats: 3 MB, 5 traffic-sized fits (1,767 rows, 24/12
-# knots) or ~40 desk-sized ones (167 rows, 30/20 knots).  A traffic-sized
+# knots) or ~46 desk-sized ones (167 rows, 30/20 knots).  A traffic-sized
 # fit costs 60 us per iteration alone, 24 us in a group of 5 and 18 us in
 # one of 10, whose blocks raise the peak RSS of a traffic run by 8% against
 # 2% for groups of 5.

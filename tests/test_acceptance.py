@@ -35,7 +35,7 @@ PUBLISHED_SEED = 20240801
 
 # Desk-scale optimizer budget for criterion 10 (reported with the run):
 # batch 30 per the protocol, 5000 SGD iterations, tail averaging over the
-# trailing 2500 iterates, default stationarity rule.
+# trailing 2500 iterates; every fit runs the whole budget.
 DESK_OPTIM = OptimConfig(batch_size=30, max_iters=5000, avg_window=2500)
 
 KERNELS = {"gaussian": fam.gaussian(), "poisson": fam.poisson(),
@@ -415,7 +415,7 @@ def test_criterion_11_manifest_determinism(tmp_path):
     from dropglm.cli import main
     from dropglm.runio import load_json_config
 
-    lean = {"batch_size": 20, "max_iters": 300, "tol": 1e-12, "avg_window": 150}
+    lean = {"batch_size": 20, "max_iters": 300, "avg_window": 150}
     scen = {"family": "gaussian", "disp_index": 1, "n": 50, "replicates": 1,
             "cv_samples": 1, "cv_folds": 2, "seed": 5, "optim": lean}
     scen_cfg = tmp_path / "scen.json"

@@ -1,14 +1,18 @@
-"""Every binding site the benchmark expects to fire is still bound.
+"""Every binding site the benchmark expects to fire is still bound, and
+every work-counting hook of the tracer reads what its layer returns.
 
 The benchmark's tracer wraps a layer's function wherever a ``dropglm``
 module holds it under some name, and a ``--trace 1`` run fails if an
 expected site ``module.name`` never fires.  A refactor that drops such an
-import or calls through another module fails here first.
+import or calls through another module fails here first.  Its hooks count
+work from a layer call's arguments and result; a refactor that drops a
+field a hook reads (``FitResult.termination``, say) also fails here first.
 """
 
 import importlib
 import os
 import sys
+from collections import defaultdict
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +24,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 with mock.patch.dict(os.environ), mock.patch.object(sys, "path",
                                                     [str(PERFBENCH), *sys.path]):
     from run import EXPECTED_SITES
-    from tracer import LAYERS
+    from tracer import HOOKS, LAYERS
 
 
 def resolve(module_name: str, attr: str):
@@ -42,3 +46,45 @@ def test_site_resolves_to_a_layer_function(workload, site):
     bound = resolve(f"dropglm.{module}", attr)
     assert any(bound is fn for fn in LAYER_FUNCTIONS), (
         f"{workload}: {site} is not bound to any traced layer's function")
+
+
+def hook_calls(tmp_path):
+    """One small real call per hooked layer, as (args, kwargs)."""
+    import numpy as np
+
+    from dropglm import families as fam
+    from dropglm.basis import build_basis
+    from dropglm.dropout import NoiseSpec
+    from dropglm.optim import OptimConfig
+    from dropglm.simlab import ScenarioConfig, generate_dataset
+
+    scenario = ScenarioConfig(family="gaussian", n=40, mean_knots=6, disp_knots=4)
+    x, y = generate_dataset(scenario, 0)
+    spec = scenario.model.spec(x)
+    snapshot = tmp_path / "traffic.csv"
+    snapshot.write_text("sensor,direction,date,hour,count\n"
+                        "W1,inbound,2019-07-01,8,250\nW1,inbound,2019-07-01,x,5\n")
+    return {
+        "optim.fit": ((spec, y, NoiseSpec.bernoulli(0.2, 0.2),
+                       OptimConfig(batch_size=10, max_iters=5),
+                       np.random.default_rng(0)), {}),
+        "families.def_sample_each": ((fam.poisson(), np.zeros(3), np.ones(3),
+                                      np.random.default_rng(0)), {}),
+        "model.loglik": ((spec, y), {}),
+        "basis.design_matrix": ((build_basis(0.0, 1.0, 6), x), {}),
+        "traffic.read_traffic_csv": ((snapshot,), {}),
+        "runio.write_csv": ((tmp_path / "out.csv", ["a"], [[1.0]]), {}),
+    }
+
+
+@pytest.mark.parametrize("layer", sorted(HOOKS))
+def test_hook_reads_a_real_result_of_its_layer(tmp_path, layer):
+    calls = hook_calls(tmp_path)
+    assert set(calls) == set(HOOKS)
+    module, attr = next((m, a) for name, m, a in LAYERS if name == layer)
+    args, kwargs = calls[layer]
+    result = resolve(module, attr)(*args, **kwargs)
+    counts = defaultdict(float)
+    HOOKS[layer](counts, args, kwargs, result)
+    assert counts and all(key.startswith(layer + ".") for key in counts)
+    assert any(counts.values())

@@ -10,7 +10,7 @@ from dropglm.cli import main
 from dropglm.runio import read_rows, write_csv
 
 
-LEAN_OPTIM = {"batch_size": 20, "max_iters": 400, "tol": 1e-12, "avg_window": 200}
+LEAN_OPTIM = {"batch_size": 20, "max_iters": 400, "avg_window": 200}
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -268,8 +268,7 @@ class TestTraffic:
         csv_path = tmp_path / "traffic.csv"
         p1, p2 = make_traffic_csv(csv_path)
         optim_cfg = write_config(tmp_path / "optim.json",
-                                 {"optim": {"max_iters": 3000, "tol": 1e-12,
-                                            "avg_window": 1000}})
+                                 {"optim": {"max_iters": 3000, "avg_window": 1000}})
         out = tmp_path / "run"
         assert run_cli("traffic", "--data", str(csv_path), "--sensor", "W1",
                        "--direction", "inbound", "--noise", "bernoulli",
@@ -443,6 +442,23 @@ class TestExitCodes:
         assert run_cli("rerun", str(out / "manifest.json"), "--out",
                        str(tmp_path / "r")) == 3
 
+    def test_rerun_of_manifest_with_retired_stop_keys_exits_2(self, tmp_path, capsys):
+        # Manifests of versions with a stationarity stop list its three keys
+        # in 'optim'; their outputs cannot be reproduced without the stop.
+        data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--data", data, "--config", small_model(tmp_path),
+                       "--method", "bernoulli", "--params", "0.1,0.1",
+                       "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["model"]["optim"] |= {"window": 200, "tol": 1e-6,
+                                                 "trace_every": 100}
+        path = write_config(tmp_path / "old.json", manifest)
+        again = tmp_path / "again"
+        assert run_cli("rerun", path, "--out", str(again)) == 2
+        assert "unknown keys ['tol', 'trace_every', 'window']" in capsys.readouterr().err
+        assert not again.exists()
+
     @pytest.mark.parametrize("command", ["cv", "fit", "traffic"])
     def test_digestless_rerun_with_missing_input_exits_3(self, tmp_path, capsys,
                                                           command):
@@ -492,8 +508,7 @@ class TestExitCodes:
             # One diverged result per fit of the lockstep group.
             return [FitResult(beta=np.full(spec.X.shape[1], np.nan),
                               alpha=np.zeros(spec.Z.shape[1]), n_iter=1,
-                              trace_iters=np.array([1]),
-                              trace_loglik=np.array([np.nan]), termination="max-iter")
+                              termination="max-iter")
                     for _ in rows]
 
         monkeypatch.setattr(tuning, "fit_method", diverged)
@@ -672,13 +687,13 @@ class TestExitCodes:
         ("fit", {"phi": np.inf}, "phi"),
         ("fit", {"phi": np.nan}, "phi"),
         ("fit", {"hi": np.inf}, "hi"),
-        ("fit", {"optim": LEAN_OPTIM | {"tol": np.nan}}, "tol"),
+        ("fit", {"optim": LEAN_OPTIM | {"rho": np.nan}}, "rho"),
         ("fit", {"optim": LEAN_OPTIM | {"eps": np.inf}}, "eps"),
         ("simulate", {"family": "dpoisson", "phi": np.inf}, "phi"),
         ("simulate", {"family": "dbinomial", "trials": np.inf}, "trials"),
         ("simulate", {"family": "dbinomial", "trials": np.nan}, "trials"),
         ("fit", {"mean_knots": np.inf}, "'mean_knots'"),
-        ("fit", {"optim": LEAN_OPTIM | {"window": np.nan}}, "'window'"),
+        ("fit", {"optim": LEAN_OPTIM | {"avg_window": np.nan}}, "'avg_window'"),
         ("fit", {"optim": LEAN_OPTIM | {"max_iters": np.inf}}, "'max_iters'"),
         ("simulate", {"kappa": np.inf}, "'kappa'")])
     def test_non_finite_config_number_exits_2(self, tmp_path, capsys, command,
@@ -687,7 +702,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,overrides,named", [
         ("fit", {"mean_knots": 5.5}, "'mean_knots'"),
-        ("fit", {"optim": LEAN_OPTIM | {"trace_every": 2.5}}, "'trace_every'"),
+        ("fit", {"optim": LEAN_OPTIM | {"max_iters": 2.5}}, "'max_iters'"),
         ("fit", {"optim": LEAN_OPTIM | {"batch_size": 2.5}}, "'batch_size'"),
         ("fit", {"optim": LEAN_OPTIM | {"avg_window": 1.5}}, "'avg_window'"),
         ("fit", {"optim": LEAN_OPTIM | {"rho": "0.9"}}, "'rho'"),

@@ -2,11 +2,12 @@
 
 The runs cover ``simulate`` and ``scenario`` for each family, ``cv`` and
 ``fit`` for the PMLE method, and ``traffic`` on a tiny snapshot written
-here.  The optimiser settings let the stationarity stop fire, so the SGD
-trace values, not only the iterates, reach the outputs.
+here.
 
-Manifests in the exact form earlier versions wrote them (``WRITTEN``) must
+Manifests in the exact form this version writes them (``WRITTEN``) must
 rerun to the same pinned outputs and write their config back unchanged.
+Manifests whose ``optim`` holds the retired stationarity-stop keys are
+refused instead (``tests/test_cli.py``).
 
 A refactor must leave these digests unchanged.  A deliberate change of
 outputs re-pins them and records the change in CHANGES.md (README
@@ -22,8 +23,7 @@ import pytest
 from dropglm.cli import main
 from dropglm.runio import load_json_config, sha256_file
 
-OPTIM = {"batch_size": 20, "max_iters": 300, "window": 20, "trace_every": 10,
-         "tol": 3e-4, "avg_window": 100}
+OPTIM = {"batch_size": 20, "max_iters": 300, "avg_window": 100}
 FAMILIES = ("gaussian", "dpoisson", "dbinomial")
 
 GOLDEN = {
@@ -34,27 +34,27 @@ GOLDEN = {
     "fit-pmle/curve.csv":
         "d4faf0733e6220b6ada7e8b6824baa9ae17c814593262919e3ec7c8bed21e7a9",
     "scenario-dbinomial/cv_bernoulli.csv":
-        "8da146e9aaf878fb3313bbf42b29a3d3b6c4fe6685bfab447e0850373836dab4",
+        "e752135dc264b0c1c9f03abe328857c599f57939e87dab03a47ed1fe570329a3",
     "scenario-dbinomial/cv_gaussian.csv":
-        "4a60e38aa1459713910c314ae73a2bcc57ab54e76a0f1c31fc5416446947f9b7",
+        "b24c325817fab9e5be7d6fec6cc401502732431bb0ff6e932b659244f96d68a2",
     "scenario-dbinomial/cv_pmle.csv":
         "ae72d0220d8456f0027ae390f64d337c6e9de2d2da9dd3b62e4c6b18ce0a2047",
     "scenario-dbinomial/results.csv":
-        "a9bde799f3ce15c8f56dbd1554489dbc0b7a3539c86c0e6cd1c88d178e106f8d",
+        "419cf244a293ebf3b3884c4b5ca6d9560672f5a8a91bcde68a5a32a33da137d3",
     "scenario-dbinomial/summary.csv":
-        "6276ea1ada758a5ff29771ab793d46df5b7ca796d5a9a9e0eceee05950351c96",
+        "13efe9ff3c0323c723c5b68fc76309693bd9dd546941c0c7802c57df4b66c16a",
     "scenario-dbinomial/truth.csv":
         "30bbf02d9d55e2fa227e926107c5c781fe00c388d773d96630b020a0f2193373",
     "scenario-dpoisson/cv_bernoulli.csv":
-        "a0d6ae2b3b5075dc7dc78d1bcf65dfda9ce697922a1f35d2391934d3019d8ea8",
+        "86517ec59b5bfa2d76e9238881b781003b19ac91b09464c3f9b0fde777eceb91",
     "scenario-dpoisson/cv_gaussian.csv":
-        "18e7d19d44a7ef977b2e2ca4363cdb483de87961e2a14699a271f381e5e99435",
+        "3d3cdc57dcd8a330c99667d259212fe6b564c5b0216340d082217b75f5de357c",
     "scenario-dpoisson/cv_pmle.csv":
         "f7658ce2d76981975594bca169b4e5826ca98b311a190ffd7e0d8dbfdc142e60",
     "scenario-dpoisson/results.csv":
-        "1b43667e79a63f4323d06b17e094822b392656edcac47a8fc99cce55fec522b3",
+        "c924bb1e2e279db606610b31772eff37bbf5c306e7735202ed35e4784a424ec7",
     "scenario-dpoisson/summary.csv":
-        "a9def0304ae76618804399d6a86b167600e10f57acf2a4f9da0d1671b750c19f",
+        "dbcbdb8ca6d803556c5bc99f7ee19b8732b221ed30fdd3723390aed1cf27b26f",
     "scenario-dpoisson/truth.csv":
         "30bbf02d9d55e2fa227e926107c5c781fe00c388d773d96630b020a0f2193373",
     "scenario-gaussian/cv_bernoulli.csv":
@@ -81,10 +81,10 @@ GOLDEN = {
         "9f490ed0c60f5b2d00acbb7387edf93ebe6a1097d500ec78b5852f1765238bba",
 }
 
-# Manifest configs of the golden runs as earlier versions wrote them, with
-# the input paths relative to the golden root.
+# Manifest configs of the golden runs as this version writes them, with the
+# input paths relative to the golden root.
 WRITTEN_OPTIM = {"avg_window": 100, "batch_size": 20, "eps": 1e-06, "max_iters": 300,
-                 "rho": 0.95, "tol": 0.0003, "trace_every": 10, "window": 20}
+                 "rho": 0.95}
 WRITTEN_SCENARIO = {"cv_folds": 2, "cv_samples": 2, "disp_index": 2, "disp_knots": 20,
                     "family": "dbinomial", "kappa": 500, "mean_index": 2,
                     "mean_knots": 30, "n": 60, "optim": WRITTEN_OPTIM, "phi": 1.0,

@@ -157,7 +157,7 @@ class TestGenerateDataset:
 
 
 class TestRunScenario:
-    FAST = OptimConfig(batch_size=20, max_iters=400, tol=1e-12, avg_window=200)
+    FAST = OptimConfig(batch_size=20, max_iters=400, avg_window=200)
 
     def test_shape_contract(self):
         cfg = ScenarioConfig(family="gaussian", disp_index=1, n=100,
@@ -190,7 +190,7 @@ class TestRunScenario:
         cfg = ScenarioConfig(family="gaussian", disp_index=1, n=150,
                              replicates=3, cv_samples=3, cv_folds=3, seed=10,
                              optim=OptimConfig(batch_size=30, max_iters=1500,
-                                               tol=1e-12, avg_window=750))
+                                               avg_window=750))
         result = run_scenario(cfg, ["bernoulli", "pmle"])
         table = np.array([[r[5], r[6]] for r in result.rows], dtype=float)
         assert np.all(np.isfinite(table))

@@ -16,7 +16,7 @@ from dropglm.tuning import (
     _heldout_loglik,
 )
 
-FAST = OptimConfig(batch_size=10, max_iters=300, tol=1e-12)
+FAST = OptimConfig(batch_size=10, max_iters=300)
 
 
 def small_problem(seed=0, n=40):
@@ -111,7 +111,6 @@ class TestRandomSearchCv:
     def test_diverged_fit_scores_minus_infinity(self):
         spec, y = small_problem()
         bad = FitResult(beta=np.full(6, np.nan), alpha=np.zeros(4), n_iter=1,
-                        trace_iters=np.array([1]), trace_loglik=np.array([np.nan]),
                         termination="max-iter")
         assert _heldout_loglik(spec, y, np.arange(5), bad) == -np.inf
 
@@ -124,8 +123,7 @@ class TestRandomSearchCv:
             # One diverged result per fit of the lockstep group.
             return [FitResult(beta=np.full(spec.X.shape[1], np.nan),
                               alpha=np.zeros(spec.Z.shape[1]), n_iter=1,
-                              trace_iters=np.array([1]),
-                              trace_loglik=np.array([np.nan]), termination="max-iter")
+                              termination="max-iter")
                     for _ in rows]
 
         monkeypatch.setattr(tuning, "fit_method", diverged)
@@ -145,8 +143,7 @@ class TestScenarioOneSelection:
         cfg = ScenarioConfig(family="gaussian", disp_index=1, n=250, seed=31)
         x, y = generate_dataset(cfg, 0)
         spec = cfg.model.spec(x)
-        optim = OptimConfig(batch_size=30, max_iters=1500, tol=1e-12,
-                            avg_window=750)
+        optim = OptimConfig(batch_size=30, max_iters=1500, avg_window=750)
         plan = CvPlan(rect=((0.0, 3.0), (0.0, 6.0)), n_samples=50, n_folds=5,
                       seed=17)
         res = random_search_cv(spec, y, "gaussian", plan, optim)
@@ -182,8 +179,7 @@ class TestCvTable:
 # random_search_cv advances its s x k fits in lockstep groups through the
 # group form of fit_method; every fit must equal, to the bit, its own
 # single fit on its keyed substream.
-LOCKSTEP = OptimConfig(batch_size=15, max_iters=400, window=20, trace_every=10,
-                       tol=3e-4, avg_window=100)
+LOCKSTEP = OptimConfig(batch_size=15, max_iters=400, avg_window=100)
 RECTS = {"bernoulli": ((0.0, 0.5), (0.0, 0.5)), "gaussian": ((0.0, 1.0), (0.0, 1.0)),
          "pmle": ((0.0, 15000.0), (0.0, 15000.0))}
 
@@ -206,7 +202,7 @@ def record_groups(monkeypatch):
 
 
 def assert_same_fit(a, b):
-    for field in ("beta", "alpha", "trace_iters", "trace_loglik"):
+    for field in ("beta", "alpha"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert (a.n_iter, a.termination, a.rejected_steps) == (
         b.n_iter, b.termination, b.rejected_steps)
@@ -248,19 +244,6 @@ class TestLockstepCv:
         assert len(calls) == 1
         assert_each_fit_as_alone(spec, y, method, plan, LOCKSTEP, res, calls)
 
-    def test_a_stationary_fit_leaves_while_the_others_run_on(self, monkeypatch):
-        # Training folds of 45 rows: epochs of 3 batches, so fits stopping at
-        # trace points leave in the middle of an epoch.
-        spec, y = scenario_data("dpoisson", n=90)
-        plan = CvPlan(rect=RECTS["bernoulli"], n_samples=3, n_folds=2, seed=5)
-        calls = record_groups(monkeypatch)
-        res = random_search_cv(spec, y, "bernoulli", plan, LOCKSTEP)
-        (_, _, _, results), = calls
-        stops = {(r.termination, r.n_iter) for r in results}
-        assert ("max-iter", 400) in stops
-        assert any(t == "stationary" and i % 3 for t, i in stops)
-        assert_each_fit_as_alone(spec, y, "bernoulli", plan, LOCKSTEP, res, calls)
-
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("method,params", [
         # Dispersion noise so wide that every step is rejected.
@@ -282,8 +265,7 @@ class TestLockstepCv:
         # Folds of 30 and 29 rows train on 29 and 30 rows: epochs of 2 and
         # 3 batches of 10.
         spec, y = small_problem(seed=4, n=59)
-        config = OptimConfig(batch_size=10, max_iters=300, window=20, trace_every=10,
-                             tol=1e-4, avg_window=100)
+        config = OptimConfig(batch_size=10, max_iters=300, avg_window=100)
         plan = CvPlan(rect=((0.0, 1.0), (0.0, 1.0)), n_samples=3, n_folds=2, seed=8)
         calls = record_groups(monkeypatch)
         res = random_search_cv(spec, y, "gaussian", plan, config)
@@ -303,8 +285,8 @@ class TestLockstepCv:
         split = random_search_cv(spec, y, "gaussian", plan, LOCKSTEP)
         sizes = [len(rows) for _, _, rows, _ in calls]
         assert sum(sizes) == 9 and len(sizes) > 1
-        # A fit on 40 rows holds 810 floats (optim.lockstep_floats).
-        assert sizes == ([1] * 9 if budget == 1 else [3, 3, 3])
+        # A fit on 40 rows holds 648 floats (optim.lockstep_floats).
+        assert sizes == ([1] * 9 if budget == 1 else [4, 4, 1])
         assert np.array_equal(split.fold_logliks, whole.fold_logliks)
         assert_each_fit_as_alone(spec, y, "gaussian", plan, LOCKSTEP, split, calls)
 
