@@ -80,14 +80,21 @@ class NoiseSpec:
         """sigma_gamma^2, the variance of a dispersion-side noise coordinate."""
         return self._variance(self.disp_param)
 
+    def param(self, side: str) -> float:
+        """The noise parameter of ``side``, 'mean' or 'disp'."""
+        return self.mean_param if side == "mean" else self.disp_param
+
     def draw(self, side: str, shape, rng: np.random.Generator) -> np.ndarray:
         """Unit-mean noise draws of any ``shape``; ``side`` is 'mean' or 'disp'.
 
         Every entry is an independent draw, so leading axes beyond the
         (rows, features) of one design may hold many draws at once, such as
-        one (batches, batch size, features) block per SGD epoch.
+        one (batches, batch size, band width) block per SGD epoch, drawn only
+        for the columns of each row's band (``optim.noise_band``): noise on
+        a zero feature has no effect, so the band's draws are the same model
+        in law.
         """
-        param = self.mean_param if side == "mean" else self.disp_param
+        param = self.param(side)
         if self.kind == "bernoulli":
             keep = 1.0 - param
             noise = (rng.random(shape) < keep).astype(float)

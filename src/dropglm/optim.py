@@ -3,8 +3,13 @@
 The randomness is drawn once per epoch of ``n // batch_size`` iterations: one
 permutation of the rows, cut into the epoch's mini-batches (``epoch_batches``),
 then one block of dropout noise per noisy side covering every batch of the
-epoch.  The epoch's design rows are gathered once into per-epoch blocks and
-each noise block is multiplied into its design block once, so each iteration
+epoch.  A noise block holds only each row's band (:func:`noise_band`): the
+narrowest run of w cyclically consecutive columns that holds the nonzeros
+of every row, 4 for a cubic B-spline design and all p columns for a design
+without zeros.  Noise on a zero feature has no effect, so the band's draws
+are the same model in law.  The epoch's design rows are gathered once into
+per-epoch blocks and each noise block is multiplied into its design block
+once, at the band entries only, so each iteration
 only takes the next batch's block, evaluates the batch score at the
 perturbed features (equivalently the perturbed coefficients) and applies
 one ADADELTA update, in place, to the joint vector (beta, alpha): the
@@ -169,10 +174,32 @@ def fit_many(spec: GlmSpec, y, rows, noises, config: OptimConfig, rngs,
         if config.batch_size > n:
             raise ConfigError(f"batch size {config.batch_size} exceeds n={n}")
     fits = [_Fit(*args) for args in zip(rows, sizes, noises, rngs, penalties)]
+    bands = noise_band(spec.X), noise_band(spec.Z)
     for per_epoch in sorted({n // config.batch_size for n in sizes}):
         _lockstep(spec, y, [f for f in fits if f.n // config.batch_size == per_epoch],
-                  per_epoch, config)
+                  per_epoch, config, bands)
     return [f.result for f in fits]
+
+
+def noise_band(D: np.ndarray) -> np.ndarray:
+    """Each row's noise band, an ``(n, w)`` array of columns of ``D``.
+
+    The band width w is the narrowest such that every row's nonzeros lie in
+    w cyclically consecutive columns, and row r's band is the first such
+    window, ``(c_r + arange(w)) % p``.  A cubic B-spline design has w = 4;
+    a design without zeros has w = p and every band is ``arange(p)``.
+    """
+    nonzero = D != 0
+    p = nonzero.shape[1]
+    need = nonzero.sum(axis=1)[:, None]
+    # Nonzeros in the window of width w that starts at each column.
+    inside = nonzero.astype(np.min_scalar_type(p))
+    for w in range(1, p + 1):
+        holds = inside == need
+        if holds.any(axis=1).all():
+            break
+        inside += np.roll(nonzero, -w, axis=1)
+    return (holds.argmax(axis=1)[:, None] + np.arange(w)) % p
 
 
 @dataclass
@@ -196,9 +223,11 @@ def lockstep_floats(n: int, dim: int, config: OptimConfig) -> int:
     return rows * (dim + 3) + dim
 
 
-def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig):
+def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
+              bands):
     """Run ``fits``, whose epochs all hold ``per_epoch`` batches, for
-    ``max_iters`` iterations, setting each one's ``result``."""
+    ``max_iters`` iterations, setting each one's ``result``; ``bands`` are
+    the :func:`noise_band` of ``X`` and ``Z``."""
     kernel = spec.kernel
     X, Z = spec.X, spec.Z
     F, B = len(fits), config.batch_size
@@ -230,6 +259,11 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig)
     sate = np.empty((per_epoch, F, B, 1))
     XeT, ZeT = Xe.transpose(0, 1, 3, 2), Ze.transpose(0, 1, 3, 2)
     epoch_rows = np.empty((per_epoch, F, B), dtype=np.intp)
+    # Noise reaches a block only at its rows' bands: flat positions in the
+    # raveled block are band columns plus the row's offset, and a batch row
+    # of fit s sits at block row ``block_rows + s * B``.
+    block_rows = (np.arange(per_epoch)[:, None] * (F * B) + np.arange(B))[..., None]
+    sides = (("mean", Xe.reshape(-1), bands[0], p), ("disp", Ze.reshape(-1), bands[1], q))
     theta = np.empty((F, B, 1))
     eta = np.empty((F, B, 1))
 
@@ -259,10 +293,13 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig)
             y.take(epoch_rows, out=ye[..., 0], mode="clip")
             sat.take(epoch_rows, out=sate[..., 0], mode="clip")
             for s, f in enumerate(fits):
-                if f.noise.mean_param > 0:
-                    Xe[:, s] *= f.noise.draw("mean", (per_epoch, B, p), f.rng)
-                if f.noise.disp_param > 0:
-                    Ze[:, s] *= f.noise.draw("disp", (per_epoch, B, q), f.rng)
+                for side, flat, band, width in sides:
+                    if f.noise.param(side) > 0:
+                        at = band.take(epoch_rows[:, s], axis=0)
+                        at += (block_rows + s * B) * width
+                        noise = f.noise.draw(side, at.shape, f.rng)
+                        noise *= flat.take(at)
+                        flat.put(at, noise)
 
         np.matmul(Xe[b], beta, out=theta)
         np.maximum(theta, -theta_clamp, out=theta)

@@ -34,39 +34,39 @@ GOLDEN = {
     "fit-pmle/curve.csv":
         "d4faf0733e6220b6ada7e8b6824baa9ae17c814593262919e3ec7c8bed21e7a9",
     "scenario-dbinomial/cv_bernoulli.csv":
-        "e752135dc264b0c1c9f03abe328857c599f57939e87dab03a47ed1fe570329a3",
+        "067f70943bc63c366690995764f3dfb42f53e720fde444e836156ddb6439d8f1",
     "scenario-dbinomial/cv_gaussian.csv":
-        "b24c325817fab9e5be7d6fec6cc401502732431bb0ff6e932b659244f96d68a2",
+        "94fafdaa169ba4aad3a20e6dcf577dfbebf9393cbd7015c9d5c5a34812dfa75e",
     "scenario-dbinomial/cv_pmle.csv":
         "ae72d0220d8456f0027ae390f64d337c6e9de2d2da9dd3b62e4c6b18ce0a2047",
     "scenario-dbinomial/results.csv":
-        "419cf244a293ebf3b3884c4b5ca6d9560672f5a8a91bcde68a5a32a33da137d3",
+        "099404952feef9f76382ab350b6edd3c89c9fb3ca94862c1cbdc6a86aa740282",
     "scenario-dbinomial/summary.csv":
-        "13efe9ff3c0323c723c5b68fc76309693bd9dd546941c0c7802c57df4b66c16a",
+        "c2720eb7d91b9e8b73709165935594b05877f87aaeac886b43fb6f57d62292c4",
     "scenario-dbinomial/truth.csv":
         "30bbf02d9d55e2fa227e926107c5c781fe00c388d773d96630b020a0f2193373",
     "scenario-dpoisson/cv_bernoulli.csv":
-        "86517ec59b5bfa2d76e9238881b781003b19ac91b09464c3f9b0fde777eceb91",
+        "8ade727d4b1f30fc3cd87427c237904c8bb3e572b05109c551e67f76857a23da",
     "scenario-dpoisson/cv_gaussian.csv":
-        "3d3cdc57dcd8a330c99667d259212fe6b564c5b0216340d082217b75f5de357c",
+        "6b14dbec8eb04fc0cc541a30fec83ee2f5d0c5c840c3a71cc702a1b93e389b66",
     "scenario-dpoisson/cv_pmle.csv":
         "f7658ce2d76981975594bca169b4e5826ca98b311a190ffd7e0d8dbfdc142e60",
     "scenario-dpoisson/results.csv":
-        "c924bb1e2e279db606610b31772eff37bbf5c306e7735202ed35e4784a424ec7",
+        "083b81cb17264763952b4d7430a283ee5a3ee6cefb77540c9b53d7fe679208f2",
     "scenario-dpoisson/summary.csv":
-        "dbcbdb8ca6d803556c5bc99f7ee19b8732b221ed30fdd3723390aed1cf27b26f",
+        "88f3f7bbd5e78a42670abd69d36f3e425a9d3af84f27d24dcf2e9821976fb973",
     "scenario-dpoisson/truth.csv":
         "30bbf02d9d55e2fa227e926107c5c781fe00c388d773d96630b020a0f2193373",
     "scenario-gaussian/cv_bernoulli.csv":
-        "505ac48cb80a1c78125919aa6bb5cca16b6ebf8851f19f810af674eb2db04e49",
+        "42a24a8e25b8ad7fd230f9c50de31dc7dab0243c162bd0deb257803e3cd23461",
     "scenario-gaussian/cv_gaussian.csv":
-        "e5f872e981a160e2c3414b7ebd7beeb99f9f518dad090daff858cc7d01ca0563",
+        "27681da226e4a14f67f3b9b5d3932275d4b2e882feb77918e8009ec3279fcdb1",
     "scenario-gaussian/cv_pmle.csv":
         "1373bf12f18c3750365675feb6c7380a61c71d92ce562b4a2ff8614c03bfe641",
     "scenario-gaussian/results.csv":
-        "2e3c2b70eca4acdc61d71119987c29f6cdae5d1b87ff8bc73f479b129693e1ea",
+        "941817c2643cbb923a624f5123f435cb5e24de34f27024834e522324186c8216",
     "scenario-gaussian/summary.csv":
-        "aa9030177ef2063ca9dcea2c829204a602db8b15bfabc890fd3a5cca23c4dea2",
+        "49d90f43cefe7a7ca9da399ca4fd0bd93afebce06f6f6715da6827934f134c34",
     "scenario-gaussian/truth.csv":
         "d3d0f614e779dc1a270e483509ac5ea29b4d8ff7e66cf4b742d2cc1934420d24",
     "simulate-dbinomial/data.csv":
@@ -76,9 +76,9 @@ GOLDEN = {
     "simulate-gaussian/data.csv":
         "805219192adbeeb751966e3a5e58600c48e561c32234fe7f7aae06b8bd02896e",
     "traffic/cv.csv":
-        "97c65436f72109791256ca4d155f6451e09c539943a6313c659e42b184c5ef47",
+        "968111217cffedd6dfd523834ad24ede6260d87e43768764c9562c387317b7c4",
     "traffic/fitted.csv":
-        "9f490ed0c60f5b2d00acbb7387edf93ebe6a1097d500ec78b5852f1765238bba",
+        "2e7d108935cdfe57f8c93ac30dd6fa1d9ed5b4f5546d8a75027e83683e423da0",
 }
 
 # Manifest configs of the golden runs as this version writes them, with the

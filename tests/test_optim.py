@@ -7,7 +7,7 @@ from dropglm import families as fam
 from dropglm import optim
 from dropglm.dropout import NoiseSpec
 from dropglm.errors import ConfigError
-from dropglm.model import GlmSpec, loglik, score, score_terms
+from dropglm.model import GlmSpec, SplineModel, loglik, score, score_terms
 from dropglm.optim import AdadeltaState, OptimConfig, adadelta_step, fit
 from dropglm.rngs import substream
 from dropglm.simlab import ScenarioConfig, generate_dataset
@@ -242,6 +242,23 @@ class TestFit:
             OptimConfig(batch_size=10, max_iters=9), np.random.default_rng(0))
         assert calls == [("mean", (4, 10, 4)), ("disp", (4, 10, 1))] * 3
 
+    def test_spline_noise_is_drawn_on_the_band_only(self, monkeypatch):
+        # A cubic B-spline row has at most 4 nonzeros out of 12 and 8
+        # columns, so each side draws 4 noise values per batch row.
+        scenario = ScenarioConfig(family="gaussian", n=47, mean_knots=12, disp_knots=8)
+        x, y = generate_dataset(scenario, 0)
+        calls = []
+        draw = NoiseSpec.draw
+
+        def spy(self, side, shape, rng):
+            calls.append((side, shape))
+            return draw(self, side, shape, rng)
+
+        monkeypatch.setattr(NoiseSpec, "draw", spy)
+        fit(scenario.model.spec(x), y, NoiseSpec.bernoulli(0.3, 0.3),
+            OptimConfig(batch_size=10, max_iters=9), np.random.default_rng(0))
+        assert calls == [("mean", (4, 10, 4)), ("disp", (4, 10, 4))] * 3
+
     def test_loop_calls_the_one_score_once_per_iteration(self, monkeypatch):
         rng = np.random.default_rng(17)
         spec, y = quadratic_problem(rng, n=47)
@@ -348,6 +365,42 @@ class TestFit:
         assert np.diff(values).min() > -1e-3 * (1 + np.abs(values).max())
 
 
+class TestNoiseBand:
+    @pytest.mark.parametrize("knots,boundary", [
+        ((30, 20), "natural"), ((24, 12), "cyclic"), ((4, 4), "natural"),
+        ((4, 4), "cyclic")])
+    def test_cubic_spline_designs_have_width_four(self, knots, boundary):
+        model = SplineModel("gaussian", mean_knots=knots[0], disp_knots=knots[1],
+                            boundary=boundary)
+        spec = model.spec(np.random.default_rng(21).random(400))
+        for D in (spec.X, spec.Z):
+            band = optim.noise_band(D)
+            assert band.shape == (spec.n, 4)
+            # Every band is 4 cyclically consecutive columns.
+            assert np.all((band - band[:, :1]) % D.shape[1] == np.arange(4))
+
+    @pytest.mark.parametrize("boundary", ["natural", "cyclic"])
+    def test_band_values_rebuild_the_design(self, boundary):
+        # Every nonzero lies in its row's band, the premise of drawing noise
+        # only there.
+        model = SplineModel("dpoisson", mean_knots=30, disp_knots=12, boundary=boundary)
+        spec = model.spec(np.random.default_rng(22).random(300))
+        for D in (spec.X, spec.Z):
+            band = optim.noise_band(D)
+            rows = np.arange(spec.n)[:, None]
+            rebuilt = np.zeros_like(D)
+            rebuilt[rows, band] = D[rows, band]
+            assert np.array_equal(rebuilt, D)
+
+    def test_dense_design_band_is_every_column_in_order(self):
+        D = np.random.default_rng(23).normal(size=(50, 7))
+        assert np.array_equal(optim.noise_band(D), np.tile(np.arange(7), (50, 1)))
+
+    def test_all_zero_column_has_width_one(self):
+        spec, _ = quadratic_problem(np.random.default_rng(24))
+        assert np.array_equal(optim.noise_band(spec.Z), np.zeros((spec.n, 1)))
+
+
 # ------------------------------------------------------------- bit-for-bit pin
 # Each case fits replicate 0 of a small scenario dataset and hashes every
 # FitResult field an output or a caller reads.  A refactor of ``fit`` must
@@ -357,28 +410,28 @@ PIN_CASES = {
     # (family, method, params): digest; every case runs 400 iterations, and
     # the comment gives rejected_steps.
     ("dbinomial", "bernoulli", (0.3, 0.2)):  # 0
-        "8d6fd755e0a6d49c4d226d22b0cb243e20826ebdb2da86b0f6e2ab3762ec5745",
+        "0327509e6d82b54308ae9265d7512a04573aeb4dedcaa9801d8924ab902e1187",
     ("dbinomial", "gaussian", (0.0, 0.5)):  # 0
-        "7f552e0f62d24c842ebb6bc729200e6892912ddcc904c60448b3ef0a5345a0c6",
+        "fe960749dc335d8933fb6450c8b15d6a9b6546839f9106dd3d92fb739049b335",
     ("dbinomial", "pmle", (15000.0, 0.0)):  # 0
         "3402a2042a7d6592e31fb4143d9f31b9656ded75a2ad3384262210f1e1648b7c",
     ("dpoisson", "bernoulli", (0.3, 0.2)):  # 0
-        "9655a77a7bd6d0a1ba247743f1378068132ca21d3b24b97132facc1ffc88f8e2",
+        "0e4acf2b66b358e3d66ed86e39658e7f87da5c6caa476f8783a17e90a87c9294",
     ("dpoisson", "gaussian", (0.4, 0.3)):  # 0
-        "05c13d6385e965ffe73939117a06291acaa8179850ecceaf3cf9863e90f681ea",
+        "d7549ff7aea4b20773e333e3d3587fa21db761b5a0393b7d21cc50b337dfb4cc",
     ("dpoisson", "pmle", (5000.0, 15000.0)):  # 0
         "6a39333058e13d9a851d2d2e1f76c7b488c1adc703099da3203b08db2e1b4da3",
     # Both noise sides at zero: no draw at all.
     ("gaussian", "bernoulli", (0.0, 0.0)):  # 0
         "87192f8c04a18d5b9d3e14c8e5e7611c70a73280262a18cf3861b68c5ddb4c55",
     ("gaussian", "bernoulli", (0.3, 0.2)):  # 0
-        "2e9de8d29aba9d430d08c3810d60f032668210fca446734db20a5d71f05d98fe",
+        "a84cb23ea79c14a8b09d288de4442de83908bcd1bd5ff5fe88bc77b82e5cf5b5",
     # Dispersion noise so wide that every batch score, or its square, is
     # non-finite: every step is rejected.
     ("gaussian", "gaussian", (0.0, 1e307)):  # 400
         "0f30c7cd9b6a772e0dc92ae2100883129bd1e66d84a3f946f0564b4465da42c9",
     ("gaussian", "gaussian", (0.4, 0.3)):  # 0
-        "7db04dc59f0173955071ca9da0c2b5c69f4e3c06169a2a46e15ba57289ed794a",
+        "70dfdfb371547139f9b2b10ba99c369f8b24d8b612d0cef995c7294b3c422f17",
     ("gaussian", "pmle", (5000.0, 15000.0)):  # 0
         "1300190b26e80f522a0043e79c455f1bfe37b01ae2fb237a5c29846046237d7b",
     # A finite penalty gradient whose square overflows: every step is rejected.
