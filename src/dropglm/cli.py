@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import design_matrix
 from .errors import ConfigError, DataError, NumericError
 from .model import SplineModel, fitted_curves
 from .optim import OptimConfig
@@ -87,11 +86,11 @@ def _read_xy(path):
     header, *rows = read_rows(path)
     if header != ["x", "y"]:
         raise DataError(f"{path}: expected header x,y, got {header}")
-    try:
-        x = np.array([float(r[0]) for r in rows])
-        y = np.array([float(r[1]) for r in rows])
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"{path}: malformed row: {exc}") from exc
+    try:  # unpacking rejects a row with more or fewer cells than the header
+        x = np.array([float(v) for v, _ in rows])
+        y = np.array([float(v) for _, v in rows])
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed row, expected the two cells x,y: {exc}") from exc
     return x, y
 
 
@@ -237,10 +236,9 @@ class FitRun(_ModelRun):
             raise NumericError("fit diverged: non-finite coefficients or no step taken")
 
         grid = np.linspace(model.lo, model.hi, 501)
-        mean_basis, disp_basis = model.bases()
-        mean_curve, disp_curve = fitted_curves(
-            spec.kernel, design_matrix(mean_basis, grid), design_matrix(disp_basis, grid),
-            result.beta, result.alpha)
+        curves = model.spec(grid)
+        mean_curve, disp_curve = fitted_curves(spec.kernel, curves.X, curves.Z,
+                                               result.beta, result.alpha)
         coef_rows = [["mean", j, v] for j, v in enumerate(result.beta)]
         coef_rows += [["dispersion", j, v] for j, v in enumerate(result.alpha)]
         return {"curve.csv": (["x", "mean", "dispersion"],

@@ -52,23 +52,19 @@ _THETA_CLAMPS = {"gaussian": 1e8, "poisson": 30.0, "binomial": 30.0}
 # Below this, a sum of squared gradients over fits bounds each fit's own
 # g'g far from overflow, whatever the order of summation.
 _CLEAR_SQUARES = 1e300
+# ADADELTA decay and stabilizer.
+RHO, EPS = 0.95, 1e-6
 
 
 @dataclass(frozen=True)
 class OptimConfig:
     batch_size: int = 30
     max_iters: int = 20_000     # iterations every fit runs
-    rho: float = 0.95           # ADADELTA decay
-    eps: float = 1e-6           # ADADELTA stabilizer
     avg_window: int = 2000      # tail-averaging window for the returned estimate
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_iters < 1 or self.avg_window < 1:
             raise ConfigError("batch_size, max_iters and avg_window must be positive")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must be in (0,1), got {self.rho}")
-        if not 0 < self.eps < np.inf:
-            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,7 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
     phi = spec.phi
     sat = kernel.saturated_term(y)
     theta_clamp = _THETA_CLAMPS[kernel.name]
-    rho, eps, max_iters = config.rho, config.eps, config.max_iters
+    max_iters = config.max_iters
 
     # One vector w = [beta; alpha] per fit, and one ADADELTA state over all.
     w = np.zeros((F, p + q))
@@ -322,7 +318,7 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
         # are.  A sum of squares over all fits far below overflow clears
         # every fit at once.
         if grad_flat @ grad_flat < _CLEAR_SQUARES:
-            step, _ = adadelta_step(state, grad, rho, eps)
+            step, _ = adadelta_step(state, grad, RHO, EPS)
             w += step
         else:
             ok = np.isfinite(np.matmul(sq_left, sq_right)[:, 0, 0])
@@ -330,7 +326,7 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
             if ok.any():
                 idx = np.flatnonzero(ok)
                 part = AdadeltaState(state.avg_sq_grad[idx], state.avg_sq_step[idx])
-                step, _ = adadelta_step(part, grad[idx], rho, eps)
+                step, _ = adadelta_step(part, grad[idx], RHO, EPS)
                 state.avg_sq_grad[idx] = part.avg_sq_grad
                 state.avg_sq_step[idx] = part.avg_sq_step
                 w[idx] += step

@@ -70,22 +70,21 @@ def g3(x):
     return np.exp((2.0 / 0.15) * _npdf(t, 0.0, 1.0) * _ncdf(-4.0 * t))
 
 
-MEAN_FUNCTIONS = {1: f1, 2: f2}
 DISPERSION_FUNCTIONS = {1: g1, 2: g2, 3: g3}
+KAPPA = 500  # the evaluation grid has KAPPA + 1 points on [0, 1]
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation cell: family, test functions, size and tuning plan."""
+    """One simulation cell: family, dispersion test function, size and
+    tuning plan.  The mean test function (f1 gaussian, f2 counts) and the
+    scale phi (0.64 gaussian, 1 counts) follow from the family."""
 
     family: str
-    mean_index: int = 0        # 0 = family default (f1 gaussian, f2 counts)
     disp_index: int = 1        # scenario number
     n: int = 250
     replicates: int = 100
-    phi: float = 0.0           # 0 = family default (0.64 gaussian, 1 counts)
     trials: int = 70
-    kappa: int = 500
     mean_knots: int = 30
     disp_knots: int = 20
     cv_folds: int = 5
@@ -94,16 +93,10 @@ class ScenarioConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
-        mean_index = self.mean_index or (1 if self.family == "gaussian" else 2)
-        object.__setattr__(self, "mean_index", mean_index)
-        phi = self.phi or (0.64 if self.family == "gaussian" else 1.0)
-        object.__setattr__(self, "phi", phi)
-        self.model  # checks the family and phi
-        if mean_index not in MEAN_FUNCTIONS:
-            raise ConfigError(f"mean_index must be in {sorted(MEAN_FUNCTIONS)}")
+        self.model  # checks the family and trials
         if self.disp_index not in DISPERSION_FUNCTIONS:
             raise ConfigError(f"disp_index must be in {sorted(DISPERSION_FUNCTIONS)}")
-        for name in ("n", "replicates", "kappa", "cv_samples"):
+        for name in ("n", "replicates", "cv_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if self.cv_folds < 2:
@@ -115,7 +108,11 @@ class ScenarioConfig:
 
     @property
     def mean_function(self):
-        return MEAN_FUNCTIONS[self.mean_index]
+        return f1 if self.family == "gaussian" else f2
+
+    @property
+    def phi(self) -> float:
+        return 0.64 if self.family == "gaussian" else 1.0
 
     @property
     def disp_function(self):
@@ -131,7 +128,7 @@ class ScenarioConfig:
         return self.model.kernel()
 
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.kappa + 1)
+        return np.linspace(0.0, 1.0, KAPPA + 1)
 
 
 def method_rectangle(method: str):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import design_matrix
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .model import SplineModel, fitted_curves
 from .optim import OptimConfig
 from .rngs import substream
@@ -142,6 +142,8 @@ def fit_traffic_model(hours, counts, noise_kind: str, cv_samples: int,
     cv = random_search_cv(spec, counts, noise_kind, plan, optim)
     final = fit_method(spec, counts, noise_kind, cv.selected_params, optim,
                        substream(seed, "final-fit"))
+    if final.diverged:
+        raise NumericError("final fit diverged: non-finite coefficients or no step taken")
 
     mean_basis, disp_basis = model.bases()
     mean_curve, disp_curve = fitted_curves(

@@ -87,14 +87,9 @@ def make_folds(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     if k > n:
         raise ConfigError(f"cannot split {n} observations into {k} folds")
     ids = np.empty(n, dtype=int)
-    perm = rng.permutation(n)
     # First n % k folds receive one extra observation.
     base, extra = divmod(n, k)
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        ids[perm[start : start + size]] = f
-        start += size
+    ids[rng.permutation(n)] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
     return ids
 
 

@@ -1,5 +1,7 @@
-"""Every binding site the benchmark expects to fire is still bound, and
-every work-counting hook of the tracer reads what its layer returns.
+"""Every binding site the benchmark expects to fire is still bound and fires
+on a miniature call of its workload, every layer does work on exactly the
+workloads predicted, and every work-counting hook of the tracer reads what
+its layer returns.
 
 The benchmark's tracer wraps a layer's function wherever a ``dropglm``
 module holds it under some name, and a ``--trace 1`` run fails if an
@@ -10,6 +12,7 @@ field a hook reads (``FitResult.termination``, say) also fails here first.
 """
 
 import importlib
+import json
 import os
 import sys
 from collections import defaultdict
@@ -23,8 +26,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # run.py sets BLAS thread variables at import; keep them out of this process.
 with mock.patch.dict(os.environ), mock.patch.object(sys, "path",
                                                     [str(PERFBENCH), *sys.path]):
-    from run import EXPECTED_SITES
-    from tracer import HOOKS, LAYERS
+    from run import BUSY_LAYERS, EXPECTED_SITES
+    from tracer import HOOKS, LAYERS, Tracer
 
 
 def resolve(module_name: str, attr: str):
@@ -46,6 +49,45 @@ def test_site_resolves_to_a_layer_function(workload, site):
     bound = resolve(f"dropglm.{module}", attr)
     assert any(bound is fn for fn in LAYER_FUNCTIONS), (
         f"{workload}: {site} is not bound to any traced layer's function")
+
+
+def miniature_argv(tmp_path, workload):
+    """A small CLI call shaped like the workload's benchmark calls."""
+    optim = {"batch_size": 10, "max_iters": 20, "avg_window": 10}
+    config = tmp_path / "config.json"
+    if workload == "traffic-summer":
+        data = tmp_path / "traffic.csv"
+        data.write_text("sensor,direction,date,hour,count\n" + "".join(
+            f"W1,inbound,2019-07-{d:02d},{h},{60 + 90 * (h in (8, 17)) + (d + h) % 11}\n"
+            for d in range(1, 4) for h in range(24)))
+        config.write_text(json.dumps({"optim": optim}))
+        return ["traffic", "--data", str(data), "--sensor", "W1", "--direction",
+                "inbound", "--samples", "1", "--folds", "2", "--summer-2019",
+                "--mean-knots", "6", "--disp-knots", "4", "--config", str(config)]
+    if workload == "simulate-counts":
+        config.write_text(json.dumps({"family": "dpoisson", "disp_index": 2, "n": 50}))
+        return ["simulate", "--config", str(config), "--replicate", "1"]
+    config.write_text(json.dumps({"family": "gaussian", "n": 40, "replicates": 1,
+                                  "cv_samples": 1, "cv_folds": 2, "mean_knots": 6,
+                                  "disp_knots": 4, "optim": optim}))
+    return ["scenario", "--config", str(config), "--methods", "bernoulli,gaussian,pmle"]
+
+
+@pytest.mark.parametrize("workload", sorted(BUSY_LAYERS))
+def test_miniature_call_fires_the_predicted_sites_and_layers(tmp_path, workload):
+    from dropglm import cli
+
+    argv = miniature_argv(tmp_path, workload)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.unfired(EXPECTED_SITES[workload]) == []
+    busy = {layer for layer, _, _ in LAYERS if tracer.calls(layer) > 0}
+    assert busy == BUSY_LAYERS[workload]
 
 
 def hook_calls(tmp_path):

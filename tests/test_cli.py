@@ -476,9 +476,9 @@ class TestExitCodes:
         assert data in capsys.readouterr().err
         assert not out.exists()
 
-    # The last two have a header but a malformed row.
+    # The last three have a header but a malformed row.
     @pytest.mark.parametrize("text", ["", "# only a comment\n", "x,y\n0.5\n",
-                                      "x,y\n0.5,abc\n"])
+                                      "x,y\n0.5,abc\n", "x,y\n0.5,1.0,999\n"])
     def test_data_without_header_exits_3(self, tmp_path, text):
         data = tmp_path / "data.csv"
         data.write_text(text)
@@ -499,6 +499,27 @@ class TestExitCodes:
         assert run_cli(command, "--data", data, "--config", model, "--method",
                        "bernoulli", *rest, "--out", str(tmp_path / "o")) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_traffic_final_fit_divergence_exits_4(self, tmp_path, capsys, monkeypatch):
+        from dropglm import traffic
+        from dropglm.optim import FitResult
+
+        def diverged(spec, y, method, params, config, rng):
+            return FitResult(beta=np.full(spec.X.shape[1], np.nan),
+                             alpha=np.zeros(spec.Z.shape[1]), n_iter=1,
+                             termination="max-iter")
+
+        # The CV fits go through tuning's own binding, so only the final fit
+        # diverges.
+        monkeypatch.setattr(traffic, "fit_method", diverged)
+        data = write_input(tmp_path / "traffic.csv", "traffic")
+        out = tmp_path / "o"
+        assert run_cli("traffic", "--data", str(data), "--sensor", "W1", "--direction",
+                       "inbound", "--samples", "1", "--folds", "2", "--config",
+                       write_config(tmp_path / "optim.json", {"optim": LEAN_OPTIM}),
+                       "--out", str(out)) == 4
+        assert "final fit diverged" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cv_without_finite_sample_exits_4(self, tmp_path, capsys, monkeypatch):
         from dropglm import tuning
@@ -687,6 +708,8 @@ class TestExitCodes:
         ("fit", {"phi": np.inf}, "phi"),
         ("fit", {"phi": np.nan}, "phi"),
         ("fit", {"hi": np.inf}, "hi"),
+        # rho, eps, a scenario's phi and kappa are retired keys, unknown
+        # whatever their value (test_retired_key_exits_2).
         ("fit", {"optim": LEAN_OPTIM | {"rho": np.nan}}, "rho"),
         ("fit", {"optim": LEAN_OPTIM | {"eps": np.inf}}, "eps"),
         ("simulate", {"family": "dpoisson", "phi": np.inf}, "phi"),
@@ -705,7 +728,7 @@ class TestExitCodes:
         ("fit", {"optim": LEAN_OPTIM | {"max_iters": 2.5}}, "'max_iters'"),
         ("fit", {"optim": LEAN_OPTIM | {"batch_size": 2.5}}, "'batch_size'"),
         ("fit", {"optim": LEAN_OPTIM | {"avg_window": 1.5}}, "'avg_window'"),
-        ("fit", {"optim": LEAN_OPTIM | {"rho": "0.9"}}, "'rho'"),
+        ("fit", {"optim": LEAN_OPTIM | {"rho": "0.9"}}, "'rho'"),  # retired key
         ("fit", {"boundary": 1}, "'boundary'"),
         ("simulate", {"disp_index": True}, "'disp_index'"),
         ("simulate", {"n": 40.5}, "'n'"),
@@ -716,6 +739,29 @@ class TestExitCodes:
     def test_mistyped_or_negative_config_value_exits_2(self, tmp_path, capsys, command,
                                                        overrides, named):
         self.assert_config_exits_2(tmp_path, capsys, command, overrides, named)
+
+    @pytest.mark.parametrize("source", ["config", "rerun"])
+    @pytest.mark.parametrize("key,value", [("rho", 0.95), ("eps", 1e-6),
+                                           ("mean_index", 2), ("kappa", 500),
+                                           ("phi", 1.0)])
+    def test_retired_key_exits_2(self, tmp_path, capsys, source, key, value):
+        # Constants since: ADADELTA's rho and eps, the scenario's mean test
+        # function, grid size and scale.  A config or manifest naming one,
+        # even at its constant's value, is refused and the key named.
+        scenario = scenario_payload(family="dpoisson")
+        if key in ("rho", "eps"):
+            scenario["optim"] = LEAN_OPTIM | {key: value}
+        else:
+            scenario[key] = value
+        if source == "config":
+            argv = ["simulate", "--config", write_config(tmp_path / "cfg.json", scenario)]
+        else:
+            argv = ["rerun", write_config(tmp_path / "manifest.json", {
+                "command": "simulate", "config": {"scenario": scenario, "replicate": 0}})]
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flags,named", [
         ("simulate", ["--seed", "-1"], "seed"),

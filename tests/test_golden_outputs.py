@@ -6,8 +6,9 @@ here.
 
 Manifests in the exact form this version writes them (``WRITTEN``) must
 rerun to the same pinned outputs and write their config back unchanged.
-Manifests whose ``optim`` holds the retired stationarity-stop keys are
-refused instead (``tests/test_cli.py``).
+Manifests that hold a retired key (the stationarity-stop keys, ADADELTA's
+``rho``/``eps``, the scenario's ``mean_index``/``kappa``/``phi``) are refused
+instead (``tests/test_cli.py``).
 
 A refactor must leave these digests unchanged.  A deliberate change of
 outputs re-pins them and records the change in CHANGES.md (README
@@ -83,12 +84,10 @@ GOLDEN = {
 
 # Manifest configs of the golden runs as this version writes them, with the
 # input paths relative to the golden root.
-WRITTEN_OPTIM = {"avg_window": 100, "batch_size": 20, "eps": 1e-06, "max_iters": 300,
-                 "rho": 0.95}
+WRITTEN_OPTIM = {"avg_window": 100, "batch_size": 20, "max_iters": 300}
 WRITTEN_SCENARIO = {"cv_folds": 2, "cv_samples": 2, "disp_index": 2, "disp_knots": 20,
-                    "family": "dbinomial", "kappa": 500, "mean_index": 2,
-                    "mean_knots": 30, "n": 60, "optim": WRITTEN_OPTIM, "phi": 1.0,
-                    "replicates": 1, "seed": 11, "trials": 70}
+                    "family": "dbinomial", "mean_knots": 30, "n": 60,
+                    "optim": WRITTEN_OPTIM, "replicates": 1, "seed": 11, "trials": 70}
 WRITTEN_MODEL = {"boundary": "natural", "disp_knots": 5, "family": "gaussian",
                  "hi": 1.0, "lo": 0.0, "mean_knots": 8, "optim": WRITTEN_OPTIM,
                  "phi": 1.0, "rect": None, "trials": 70}

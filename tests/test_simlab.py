@@ -91,9 +91,9 @@ class TestRmse:
 class TestScenarioConfig:
     def test_family_defaults(self):
         g = ScenarioConfig(family="gaussian")
-        assert (g.mean_index, g.phi) == (1, 0.64)
+        assert (g.mean_function, g.phi, len(g.grid())) == (f1, 0.64, 501)
         p = ScenarioConfig(family="dpoisson")
-        assert (p.mean_index, p.phi) == (2, 1.0)
+        assert (p.mean_function, p.phi, p.model.phi) == (f2, 1.0, 1.0)
 
     def test_bad_family(self):
         with pytest.raises(ConfigError):
@@ -133,8 +133,8 @@ class TestGenerateDataset:
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
     def test_mean_domain_violation(self):
-        # f1 dips below zero, which the Poisson mean domain rejects.
-        cfg = ScenarioConfig(family="dpoisson", mean_index=1, disp_index=1,
+        # f2 peaks near 68.56, above the binomial mean domain of 60 trials.
+        cfg = ScenarioConfig(family="dbinomial", trials=60, disp_index=1,
                              n=100, seed=6)
         with pytest.raises(DataError):
             generate_dataset(cfg, 0)
@@ -166,7 +166,7 @@ class TestRunScenario:
         result = run_scenario(cfg, ["bernoulli"])
         assert len(result.rows) == 2
         assert "bernoulli" in result.cv_results
-        assert len(result.grid) == cfg.kappa + 1
+        assert len(result.grid) == 501
         for row in result.rows:
             assert row[0] == "gaussian" and row[1] == 1 and row[3] == "bernoulli"
 
