@@ -7,9 +7,10 @@ epoch.  A noise block holds only each row's band (:func:`noise_band`): the
 narrowest run of w cyclically consecutive columns that holds the nonzeros
 of every row, 4 for a cubic B-spline design and all p columns for a design
 without zeros.  Noise on a zero feature has no effect, so the band's draws
-are the same model in law.  The epoch's design rows are gathered once into
-per-epoch blocks and each noise block is multiplied into its design block
-once, at the band entries only, so each iteration
+are the same model in law.  The epoch's design rows are gathered into
+blocks one chunk of at most :data:`EPOCH_CHUNK` batches at a time, and each
+chunk gets the noise of its batches multiplied in at the band entries only,
+so each iteration
 only takes the next batch's block, evaluates the batch score at the
 perturbed features (equivalently the perturbed coefficients) and applies
 one ADADELTA update, in place, to the joint vector (beta, alpha): the
@@ -26,7 +27,11 @@ stopping rule.  Each fit draws from its own generator, is checked on its
 own, and gets the numbers it would get alone: the products over the fit axis
 are stacked ``matmul`` calls, which give each fit the bits of its own
 matrix-vector products.  The per-call overhead of numpy on small arrays,
-which dominates one fit's iteration, is then shared by F fits.
+which dominates one fit's iteration, is then shared by F fits, and so is
+the work of the epoch: each noisy side's noise is one block for the whole
+group, with ones where a fit's side is noise-free (``x * 1.0 == x`` to the
+bit), multiplied into each chunk by one gather and one scatter, and a
+penalized group takes its penalty gradient in one call.
 :func:`lockstep_floats` states the memory one fit holds, so callers can
 size their groups.
 
@@ -54,6 +59,9 @@ _THETA_CLAMPS = {"gaussian": 1e8, "poisson": 30.0, "binomial": 30.0}
 _CLEAR_SQUARES = 1e300
 # ADADELTA decay and stabilizer.
 RHO, EPS = 0.95, 1e-6
+# Batches of an epoch gathered into the design blocks at a time: whole
+# epochs of up to 8 batches, and a few hundred rows of a longer one.
+EPOCH_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,10 @@ def fit(spec: GlmSpec, y, noise: NoiseSpec, config: OptimConfig,
     every row of ``spec``: :func:`fit_many` with one fit on ``arange(n)``.
 
     ``penalty`` is an optional object with a ``gradient(beta, alpha)`` method
-    returning the gradient of the penalty to subtract from the score (used by
-    the penalized-MLE baseline).
+    returning the gradient of the penalty to subtract from the score, and a
+    ``stack(penalties)`` class method returning one such object for F fits,
+    whose ``gradient`` takes ``(F, dim, 1)`` stacks of coefficient vectors
+    (``pmle.DiffPenalty``, the penalized-MLE baseline).
     """
     return fit_many(spec, y, [np.arange(spec.n)], [noise], config, [rng], [penalty])[0]
 
@@ -162,7 +172,8 @@ def fit_many(spec: GlmSpec, y, rows, noises, config: OptimConfig, rngs,
     numbers it would get alone: it draws from its own generator in
     :func:`fit`'s order, and the products over the fit axis are stacked
     ``matmul`` calls, which give each fit the bits of its own.  Fits whose
-    epochs hold the same number of batches share one loop.
+    epochs hold the same number of batches and that are all penalized or
+    all not share one loop.
     """
     y = spec.kernel.check_support(y)
     sizes = [len(r) for r in rows]
@@ -171,9 +182,11 @@ def fit_many(spec: GlmSpec, y, rows, noises, config: OptimConfig, rngs,
             raise ConfigError(f"batch size {config.batch_size} exceeds n={n}")
     fits = [_Fit(*args) for args in zip(rows, sizes, noises, rngs, penalties)]
     bands = noise_band(spec.X), noise_band(spec.Z)
-    for per_epoch in sorted({n // config.batch_size for n in sizes}):
-        _lockstep(spec, y, [f for f in fits if f.n // config.batch_size == per_epoch],
-                  per_epoch, config, bands)
+    groups = {}
+    for f in fits:
+        groups.setdefault((f.n // config.batch_size, f.penalty is not None), []).append(f)
+    for (per_epoch, _), group in groups.items():
+        _lockstep(spec, y, group, per_epoch, config, bands)
     return [f.result for f in fits]
 
 
@@ -210,20 +223,35 @@ class _Fit:
     result: FitResult | None = None
 
 
-def lockstep_floats(n: int, dim: int, config: OptimConfig) -> int:
-    """Floats one fit of :func:`fit_many` holds on ``n`` rows with ``dim``
-    coefficients: its epoch blocks, one row of ``dim + 3`` (design, response,
-    saturated term and row index) per batch row of an epoch, and its
-    tail-average sum of ``dim``."""
-    rows = n // config.batch_size * config.batch_size
-    return rows * (dim + 3) + dim
+def lockstep_floats(spec: GlmSpec, n: int, config: OptimConfig) -> int:
+    """Floats (or 8-byte row indices) one fit of :func:`fit_many` holds on
+    ``n`` rows of ``spec``, whose designs have dim = p + q columns and noise
+    bands of widths w_X and w_Z:
+
+    * its chunk blocks, one row of ``dim + 2`` (design, response and
+      saturated term) per batch row of a chunk;
+    * the epoch's row indices and noise blocks, ``1 + w_X + w_Z`` per batch
+      row of an epoch;
+    * the transients of a chunk's noise product, three of ``max(w_X, w_Z)``
+      (band positions, gathered entries and their product) per batch row of
+      a chunk;
+    * the vectors of its iteration: iterate, gradient, the two ADADELTA
+      averages and the tail-average sum, five of ``dim``.
+    """
+    per_epoch = n // config.batch_size
+    chunk_rows = min(per_epoch, EPOCH_CHUNK) * config.batch_size
+    widths = noise_band(spec.X).shape[1], noise_band(spec.Z).shape[1]
+    dim = spec.X.shape[1] + spec.Z.shape[1]
+    return (chunk_rows * (dim + 2 + 3 * max(widths))
+            + per_epoch * config.batch_size * (1 + sum(widths)) + 5 * dim)
 
 
 def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
               bands):
-    """Run ``fits``, whose epochs all hold ``per_epoch`` batches, for
-    ``max_iters`` iterations, setting each one's ``result``; ``bands`` are
-    the :func:`noise_band` of ``X`` and ``Z``."""
+    """Run ``fits``, whose epochs all hold ``per_epoch`` batches and which
+    are all penalized or all not, for ``max_iters`` iterations, setting each
+    one's ``result``; ``bands`` are the :func:`noise_band` of ``X`` and
+    ``Z``."""
     kernel = spec.kernel
     X, Z = spec.X, spec.Z
     F, B = len(fits), config.batch_size
@@ -245,21 +273,31 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
     sq_left, sq_right = grad[:, None, :], grad[:, :, None]
     scale = np.array([f.n / B for f in fits])[:, None]
     rejected = np.zeros(F, dtype=int)
-    penalized = [(s, f.penalty) for s, f in enumerate(fits) if f.penalty is not None]
-    # Each epoch's design rows with the noise multiplied in, batch-major so
-    # that batch b of every fit is the one block ``Xe[b]``; y and the
-    # saturated term carry a trailing axis so every (F, B, 1) operand lines up.
-    Xe = np.empty((per_epoch, F, B, p))
-    Ze = np.empty((per_epoch, F, B, q))
-    ye = np.empty((per_epoch, F, B, 1))
-    sate = np.empty((per_epoch, F, B, 1))
+    penalty = fits[0].penalty
+    if penalty is not None:
+        penalty = type(penalty).stack([f.penalty for f in fits])
+    # One chunk of each epoch's design rows with the noise multiplied in,
+    # batch-major so that batch c of every fit is the one block ``Xe[c]``; y
+    # and the saturated term carry a trailing axis so every (F, B, 1)
+    # operand lines up.
+    chunk = min(per_epoch, EPOCH_CHUNK)
+    Xe = np.empty((chunk, F, B, p))
+    Ze = np.empty((chunk, F, B, q))
+    ye = np.empty((chunk, F, B, 1))
+    sate = np.empty((chunk, F, B, 1))
     XeT, ZeT = Xe.transpose(0, 1, 3, 2), Ze.transpose(0, 1, 3, 2)
     epoch_rows = np.empty((per_epoch, F, B), dtype=np.intp)
-    # Noise reaches a block only at its rows' bands: flat positions in the
-    # raveled block are band columns plus the row's offset, and a batch row
-    # of fit s sits at block row ``block_rows + s * B``.
-    block_rows = (np.arange(per_epoch)[:, None] * (F * B) + np.arange(B))[..., None]
-    sides = (("mean", Xe.reshape(-1), bands[0], p), ("disp", Ze.reshape(-1), bands[1], q))
+    # Each noisy side holds the epoch's noise of every fit as one block,
+    # ones where a fit's side is noise-free.  Noise reaches a chunk only at
+    # its rows' bands: flat positions in the raveled chunk are band columns
+    # plus the row's offset.
+    sides = []
+    for side, flat, band, width in (("mean", Xe.reshape(-1), bands[0], p),
+                                    ("disp", Ze.reshape(-1), bands[1], q)):
+        if any(f.noise.param(side) > 0 for f in fits):
+            offset = np.arange(chunk * F * B).reshape(chunk, F, B, 1) * width
+            block = np.ones((per_epoch, F, B, band.shape[1]))
+            sides.append((side, flat, band, offset, block))
     theta = np.empty((F, B, 1))
     eta = np.empty((F, B, 1))
 
@@ -284,34 +322,39 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
             for s, f in enumerate(fits):
                 batches = epoch_batches(f.n, B, f.rng)
                 epoch_rows[:, s] = f.rows[batches]
-            X.take(epoch_rows, axis=0, out=Xe, mode="clip")
-            Z.take(epoch_rows, axis=0, out=Ze, mode="clip")
-            y.take(epoch_rows, out=ye[..., 0], mode="clip")
-            sat.take(epoch_rows, out=sate[..., 0], mode="clip")
             for s, f in enumerate(fits):
-                for side, flat, band, width in sides:
+                for side, _, band, _, block in sides:
                     if f.noise.param(side) > 0:
-                        at = band.take(epoch_rows[:, s], axis=0)
-                        at += (block_rows + s * B) * width
-                        noise = f.noise.draw(side, at.shape, f.rng)
-                        noise *= flat.take(at)
-                        flat.put(at, noise)
+                        block[:, s] = f.noise.draw(side, (per_epoch, B, band.shape[1]),
+                                                   f.rng)
+        c = b % chunk
+        if c == 0:
+            rows = epoch_rows[b : b + chunk]
+            size = len(rows)
+            X.take(rows, axis=0, out=Xe[:size], mode="clip")
+            Z.take(rows, axis=0, out=Ze[:size], mode="clip")
+            y.take(rows, out=ye[:size, ..., 0], mode="clip")
+            sat.take(rows, out=sate[:size, ..., 0], mode="clip")
+            for _, flat, band, offset, block in sides:
+                at = band.take(rows, axis=0)
+                at += offset[:size]
+                flat[at] = flat[at] * block[b : b + size]
 
-        np.matmul(Xe[b], beta, out=theta)
+        np.matmul(Xe[c], beta, out=theta)
         np.maximum(theta, -theta_clamp, out=theta)
         np.minimum(theta, theta_clamp, out=theta)
-        np.matmul(Ze[b], alpha, out=eta)
+        np.matmul(Ze[c], alpha, out=eta)
         np.maximum(eta, -_ETA_CLAMP, out=eta)
         np.minimum(eta, _ETA_CLAMP, out=eta)
         gamma = np.exp(eta, out=eta)
-        u_beta, u_alpha = score_terms(kernel, theta, gamma, ye[b], sate[b], phi)
-        np.matmul(XeT[b], u_beta, out=grad_beta)
-        np.matmul(ZeT[b], u_alpha, out=grad_alpha)
+        u_beta, u_alpha = score_terms(kernel, theta, gamma, ye[c], sate[c], phi)
+        np.matmul(XeT[c], u_beta, out=grad_beta)
+        np.matmul(ZeT[c], u_alpha, out=grad_alpha)
         grad *= scale
-        for s, penalty in penalized:
-            pen_beta, pen_alpha = penalty.gradient(w[s, :p], w[s, p:])
-            grad[s, :p] -= pen_beta
-            grad[s, p:] -= pen_alpha
+        if penalty is not None:
+            pen_beta, pen_alpha = penalty.gradient(beta, alpha)
+            grad_beta -= pen_beta
+            grad_alpha -= pen_alpha
 
         # Each fit's own g'g (also rejects a finite gradient whose square
         # overflows in ADADELTA); a rejected fit's w and state stay as they

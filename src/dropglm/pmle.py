@@ -5,8 +5,9 @@ the spline coefficients: P = D2' D2, so affine coefficient sequences are
 unpenalized.  Fitting reuses the SGD/ADADELTA engine with noise disabled so
 comparisons against dropout isolate the penalty, not the optimizer.  CV fits
 of the baseline run in lockstep with each other on that engine
-(``optim.fit_many``), each calling its own penalty's ``gradient``; a single
-fit goes through :func:`pmle_fit`.
+(``optim.fit_many``), whose penalties are stacked into one
+(:meth:`DiffPenalty.stack`) that takes all their gradients in one call; a
+single fit goes through :func:`pmle_fit`.
 
 The weights of :class:`DiffPenalty` penalize the summed log-likelihood as
 written.  The search rectangle's weights are in other units: the ``pmle``
@@ -46,11 +47,22 @@ class DiffPenalty:
     P_disp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0 <= self.lam_mean < np.inf and 0 <= self.lam_disp < np.inf):
+        lams = np.array([self.lam_mean, self.lam_disp])
+        if not np.all((0 <= lams) & (lams < np.inf)):
             raise ConfigError("smoothing parameters must be finite and nonnegative, "
                               f"got ({self.lam_mean}, {self.lam_disp})")
         object.__setattr__(self, "P_mean", second_difference_penalty(self.dim_mean))
         object.__setattr__(self, "P_disp", second_difference_penalty(self.dim_disp))
+
+    @classmethod
+    def stack(cls, penalties) -> "DiffPenalty":
+        """One penalty of F fits: its weights are ``(F, 1, 1)`` arrays, so its
+        :meth:`gradient` takes ``(F, dim, 1)`` stacks of coefficient vectors
+        and gives each fit the bits of its own penalty's gradient."""
+        first = penalties[0]
+        return cls(lam_mean=np.array([pen.lam_mean for pen in penalties])[:, None, None],
+                   lam_disp=np.array([pen.lam_disp for pen in penalties])[:, None, None],
+                   dim_mean=first.dim_mean, dim_disp=first.dim_disp)
 
     def value(self, beta, alpha) -> float:
         return float(self.lam_mean * beta @ self.P_mean @ beta

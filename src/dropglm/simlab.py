@@ -26,7 +26,7 @@ import numpy as np
 
 from . import families
 from .basis import design_matrix
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError
 from .model import SplineModel, fitted_curves
 from .optim import OptimConfig
 from .rngs import substream
@@ -72,6 +72,9 @@ def g3(x):
 
 DISPERSION_FUNCTIONS = {1: g1, 2: g2, 3: g3}
 KAPPA = 500  # the evaluation grid has KAPPA + 1 points on [0, 1]
+# f2's maximum on [0, 1] (68.56457 near x = 0.5), rounded up: a dbinomial
+# scenario needs more trials, so that every mean lies inside (0, trials).
+F2_MAX = 68.5646
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.model  # checks the family and trials
+        if self.family == "dbinomial" and self.trials <= F2_MAX:
+            raise ConfigError(f"dbinomial trials must exceed f2's maximum {F2_MAX}, "
+                              f"got {self.trials}")
         if self.disp_index not in DISPERSION_FUNCTIONS:
             raise ConfigError(f"disp_index must be in {sorted(DISPERSION_FUNCTIONS)}")
         for name in ("n", "replicates", "cv_samples"):
@@ -151,14 +157,7 @@ def generate_dataset(config: ScenarioConfig, replicate_index: int):
     x = rng.random(config.n)
     mu = config.mean_function(x)
     gamma = config.disp_function(x)
-    try:
-        theta = kernel.mean_to_theta(mu)
-    except DomainError as exc:
-        hi = config.trials if config.family == "dbinomial" else np.inf
-        bad = x[(mu <= 0) | (mu >= hi)]
-        raise DataError(
-            f"mean function leaves the {kernel.name} domain at x={bad[:5]}"
-        ) from exc
+    theta = kernel.mean_to_theta(mu)
     y = families.def_sample_each(kernel, theta, gamma, rng, phi=config.phi)
     return x, y
 

@@ -43,12 +43,12 @@ METHODS = ("bernoulli", "gaussian", "pmle")
 PMLE_WEIGHT_UNIT = 50_000.0
 
 # Floats that one lockstep group of CV fits may hold, each fit holding
-# optim.lockstep_floats: 3 MB, 5 traffic-sized fits (1,767 rows, 24/12
-# knots) or ~46 desk-sized ones (167 rows, 30/20 knots).  With Bernoulli
-# noise on both sides, a traffic-sized fit costs 35 us per iteration alone,
-# 15 us in a group of 5 and 12 us in one of 10, whose blocks raise the peak
-# RSS of a traffic run by 5% against 1.5% for groups of 5 (both against
-# groups of 1; 2-core host, one BLAS thread).
+# optim.lockstep_floats: 3 MB, 14 traffic-sized fits (1,767 rows, 24/12
+# cyclic knots, 26,100 floats each), so a traffic CV of 2 x 5 fits runs as
+# one group, or 33 desk-sized ones (167 rows, 30/20 knots, 11,200 floats).
+# With Bernoulli noise on both sides, a traffic-sized fit costs 27 us per
+# iteration alone, 9 us in a group of 5 and 7 us in one of 10 (2-core host,
+# one BLAS thread).
 CV_GROUP_FLOATS = 375_000
 
 
@@ -158,8 +158,7 @@ def random_search_cv(spec: GlmSpec, y, method: str, plan: CvPlan,
     train = [np.flatnonzero(folds != f) for f in range(plan.n_folds)]
     test = [np.flatnonzero(folds == f) for f in range(plan.n_folds)]
     cells = [(j, f) for j in range(plan.n_samples) for f in range(plan.n_folds)]
-    per_fit = lockstep_floats(max(map(len, train)), spec.X.shape[1] + spec.Z.shape[1],
-                              config)
+    per_fit = lockstep_floats(spec, max(map(len, train)), config)
     fold_logliks = np.empty((plan.n_samples, plan.n_folds))
     done = 0
     for size in chunk_sizes(len(cells), per_fit, CV_GROUP_FLOATS):

@@ -740,6 +740,12 @@ class TestExitCodes:
                                                        overrides, named):
         self.assert_config_exits_2(tmp_path, capsys, command, overrides, named)
 
+    def test_binomial_trials_under_the_mean_peak_exits_2(self, tmp_path, capsys):
+        # 60 trials lie under f2's peak of about 68.56: refused whatever x is
+        # drawn, also when no draw of a 50-row dataset lands near the peak.
+        overrides = {"family": "dbinomial", "trials": 60, "n": 50, "seed": 0}
+        self.assert_config_exits_2(tmp_path, capsys, "simulate", overrides, "trials")
+
     @pytest.mark.parametrize("source", ["config", "rerun"])
     @pytest.mark.parametrize("key,value", [("rho", 0.95), ("eps", 1e-6),
                                            ("mean_index", 2), ("kappa", 500),

@@ -456,3 +456,86 @@ def test_fit_is_pinned_bit_for_bit(family, method, params):
     result = fit_method(scenario.model.spec(x), y, method, params,
                         OptimConfig(**PIN_OPTIM), substream(7, "pin", method))
     assert _fit_digest(result) == PIN_CASES[family, method, params]
+
+
+# Epochs that span several chunks of ``optim.EPOCH_CHUNK`` batches and end in
+# a short one: n = 290 rows in batches of 10 give 29 batches per epoch.
+CHUNK_OPTIM = dict(batch_size=10, max_iters=300, avg_window=100)
+CHUNK_CASES = {
+    # (family, method, params): digest; no case rejects a step.
+    ("gaussian", "bernoulli", (0.3, 0.2)):
+        "a6381efdb6cb12c5ac1de81f26b5a68b71f9fb7f6f8b13858817daca5d2be71c",
+    ("dpoisson", "gaussian", (0.0, 0.5)):
+        "67b301f90342a9d99d1e7bb2e919512628e315f4f302388b19918041795d897f",
+    ("dbinomial", "pmle", (5000.0, 15000.0)):
+        "5e41cf7d26196da6f8b207df184c1d2ac377a421c5d9411c001687db2ddd01c2",
+}
+
+
+def _chunk_case(family):
+    scenario = ScenarioConfig(family=family, n=290, mean_knots=10, disp_knots=8)
+    x, y = generate_dataset(scenario, 0)
+    return scenario.model.spec(x), y
+
+
+@pytest.mark.parametrize("family,method,params", sorted(CHUNK_CASES))
+def test_fit_across_chunks_is_pinned_bit_for_bit(family, method, params):
+    spec, y = _chunk_case(family)
+    result = fit_method(spec, y, method, params, OptimConfig(**CHUNK_OPTIM),
+                        substream(7, "chunk", method))
+    assert _fit_digest(result) == CHUNK_CASES[family, method, params]
+
+
+def test_group_across_chunks_equals_each_fit_alone():
+    # The three chunk cases' methods on one design in one fit_many call:
+    # two noises, one noise-free side and a penalty.
+    from dropglm.tuning import _engine_inputs
+
+    spec, y = _chunk_case("gaussian")
+    cases = sorted(CHUNK_CASES)
+    noises, penalties = zip(*(_engine_inputs(spec, method, params)
+                              for _, method, params in cases))
+    results = optim.fit_many(spec, y, [np.arange(spec.n)] * 3, noises,
+                             OptimConfig(**CHUNK_OPTIM),
+                             [substream(7, "chunk", method) for _, method, _ in cases],
+                             penalties)
+    for (_, method, params), result in zip(cases, results):
+        alone = fit_method(spec, y, method, params, OptimConfig(**CHUNK_OPTIM),
+                           substream(7, "chunk", method))
+        assert _fit_digest(result) == _fit_digest(alone)
+
+
+@pytest.mark.parametrize("shape,F", [("traffic", 10), ("desk", 6)])
+def test_lockstep_floats_bounds_the_memory_of_a_group(shape, F):
+    # The tracemalloc peak of a fit_many call stays within 1.25 times what
+    # lockstep_floats states for its F fits, noise on both sides: a traffic
+    # CV's fits (4 of 5 folds of 92 days of hourly counts, 24/12 cyclic
+    # knots, epochs of 58 batches in chunks of 8, 8, ..., 2) and a desk
+    # CV's (2 of 3 folds of a gaussian n = 250 scenario, 30/20 knots).
+    import tracemalloc
+
+    from dropglm.tuning import make_folds
+
+    if shape == "traffic":
+        model = SplineModel("dpoisson", mean_knots=24, disp_knots=12, lo=0.0, hi=24.0,
+                            boundary="cyclic")
+        hours = np.tile(np.arange(24.0), 92)
+        y = np.random.default_rng(3).poisson(
+            200.0 + 100.0 * np.sin(2 * np.pi * hours / 24)).astype(float)
+        spec, k = model.spec(hours), 5
+    else:
+        scenario = ScenarioConfig(family="gaussian", n=250, mean_knots=30, disp_knots=20)
+        x, y = generate_dataset(scenario, 0)
+        spec, k = scenario.model.spec(x), 3
+    folds = make_folds(spec.n, k, np.random.default_rng(1))
+    rows = [np.flatnonzero(folds != f % k) for f in range(F)]
+    config = OptimConfig(batch_size=30, max_iters=150, avg_window=50)
+    per_fit = optim.lockstep_floats(spec, max(map(len, rows)), config)
+    tracemalloc.start()
+    try:
+        optim.fit_many(spec, y, rows, [NoiseSpec.bernoulli(0.3, 0.2)] * F, config,
+                       [substream(1, "footprint", f) for f in range(F)], [None] * F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * F * per_fit * 8

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dropglm import families as fam
-from dropglm.errors import ConfigError, DataError
+from dropglm.errors import ConfigError
 from dropglm.simlab import (
+    F2_MAX,
     RESULT_COLUMNS,
     ScenarioConfig,
     f1,
@@ -133,11 +134,19 @@ class TestGenerateDataset:
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
     def test_mean_domain_violation(self):
-        # f2 peaks near 68.56, above the binomial mean domain of 60 trials.
-        cfg = ScenarioConfig(family="dbinomial", trials=60, disp_index=1,
-                             n=100, seed=6)
-        with pytest.raises(DataError):
-            generate_dataset(cfg, 0)
+        # f2 peaks near 68.56, above the binomial mean domain of 60 or 68
+        # trials: refused up front, whatever x is drawn.
+        for trials in (60, 68):
+            with pytest.raises(ConfigError, match="trials"):
+                ScenarioConfig(family="dbinomial", trials=trials, disp_index=1, n=100,
+                               seed=6)
+
+    def test_f2_max_bounds_f2(self):
+        values = f2(np.linspace(0.0, 1.0, 2_000_001))
+        assert values.max() <= F2_MAX < values.max() + 1e-3
+        # 69 trials, the least accepted, keep every mean inside (0, 69).
+        assert values.min() > 0
+        ScenarioConfig(family="dbinomial", trials=69)
 
     @pytest.mark.parametrize("family", ["gaussian", "dpoisson", "dbinomial"])
     @pytest.mark.parametrize("scenario", [1, 2, 3])

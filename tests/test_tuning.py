@@ -285,8 +285,8 @@ class TestLockstepCv:
         split = random_search_cv(spec, y, "gaussian", plan, LOCKSTEP)
         sizes = [len(rows) for _, _, rows, _ in calls]
         assert sum(sizes) == 9 and len(sizes) > 1
-        # A fit on 40 rows holds 648 floats (optim.lockstep_floats).
-        assert sizes == ([1] * 9 if budget == 1 else [4, 4, 1])
+        # A fit on 40 rows holds 1,320 floats (optim.lockstep_floats).
+        assert sizes == ([1] * 9 if budget == 1 else [2, 2, 2, 2, 1])
         assert np.array_equal(split.fold_logliks, whole.fold_logliks)
         assert_each_fit_as_alone(spec, y, "gaussian", plan, LOCKSTEP, split, calls)
 
@@ -316,14 +316,15 @@ class TestLockstepCv:
         random_search_cv(spec, y, method, plan, config)
         assert spec.n == {"traffic": 2208, "desk": 250}[shape]
         assert [len(rows) for _, _, rows, _ in calls] == (
-            [5, 5] if shape == "traffic" else [6])
+            [10] if shape == "traffic" else [6])
 
 
 class TestLockstepCvBindings:
     """The layers a tracer wraps still see every CV fit: the group enters
     through tuning's ``fit_method``, ADADELTA through the ``optim`` global,
     the noise through ``NoiseSpec.draw`` on the class (once per fit, epoch
-    and noisy side) and the penalty through ``DiffPenalty.gradient``."""
+    and noisy side) and the penalty through ``DiffPenalty.gradient`` (once
+    per iteration of each lockstep loop, for all its fits)."""
 
     @pytest.mark.parametrize("method", ["bernoulli", "gaussian", "pmle"])
     def test_layers_see_every_fit(self, monkeypatch, method):
@@ -365,7 +366,11 @@ class TestLockstepCvBindings:
                 epochs = -(-result.n_iter // (n // LOCKSTEP.batch_size))
                 expected[id(rng), "mean"] = expected[id(rng), "disp"] = epochs
         assert draws == expected
-        assert counts["gradient"] == (sum(r.n_iter for _, _, r in fits)
+        # One penalty gradient per iteration of each lockstep loop: a group
+        # runs one loop per epoch length among its fits.
+        loops = {(i, len(train) // LOCKSTEP.batch_size)
+                 for i, (_, _, rows, _) in enumerate(calls) for train in rows}
+        assert counts["gradient"] == (len(loops) * LOCKSTEP.max_iters
                                       if method == "pmle" else 0)
 
 
