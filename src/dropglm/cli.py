@@ -82,13 +82,20 @@ def _input_digest(path) -> str:
         raise DataError(f"cannot read input {path}: {exc.strerror}") from exc
 
 
+def _number(cell: str) -> float:
+    """float() of a CSV cell, less the Python literal's ``_`` separators."""
+    if "_" in cell:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
 def _read_xy(path):
     header, *rows = read_rows(path)
     if header != ["x", "y"]:
         raise DataError(f"{path}: expected header x,y, got {header}")
     try:  # unpacking rejects a row with more or fewer cells than the header
-        x = np.array([float(v) for v, _ in rows])
-        y = np.array([float(v) for _, v in rows])
+        x = np.array([_number(v) for v, _ in rows])
+        y = np.array([_number(v) for _, v in rows])
     except ValueError as exc:
         raise DataError(f"{path}: malformed row, expected the two cells x,y: {exc}") from exc
     return x, y

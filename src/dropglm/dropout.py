@@ -97,10 +97,14 @@ class NoiseSpec:
         param = self.param(side)
         if self.kind == "bernoulli":
             keep = 1.0 - param
-            noise = (rng.random(shape) < keep).astype(float)
+            noise = rng.random(shape)
+            np.less(noise, keep, out=noise)
             noise /= keep
             return noise
-        return 1.0 + param * rng.standard_normal(shape)
+        noise = rng.standard_normal(shape)
+        noise *= param
+        noise += 1.0
+        return noise
 
 
 @dataclass(frozen=True)

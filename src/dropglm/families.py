@@ -60,6 +60,10 @@ class FamilyKernel:
     def b_third(self, theta):
         raise NotImplementedError
 
+    def b_and_mean(self, theta):
+        """(b(theta), b'(theta)), the bits of the two separate calls."""
+        return self.b(theta), self.b_prime(theta)
+
     def mean_to_theta(self, mu):
         raise NotImplementedError
 
@@ -131,6 +135,10 @@ class PoissonKernel(FamilyKernel):
         return np.exp(np.asarray(theta, dtype=float))
 
     b_prime = b_second = b_third = b  # exp is its own derivative
+
+    def b_and_mean(self, theta):
+        e = self.b(theta)
+        return e, e
 
     def mean_to_theta(self, mu):
         mu = np.asarray(mu, dtype=float)

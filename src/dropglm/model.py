@@ -164,8 +164,16 @@ def score_terms(kernel: FamilyKernel, theta, gamma, y, sat, scale):
     u_beta  = gamma (y - b'(theta)) / phi
     u_alpha = 1/2 + gamma (y theta - b(theta) - sat) / phi
     """
-    u_beta = gamma * (y - kernel.b_prime(theta)) / scale
-    u_alpha = 0.5 + gamma * ((y * theta - kernel.b(theta) - sat) / scale)
+    b, mean = kernel.b_and_mean(theta)
+    gap = y * theta
+    gap -= b
+    gap -= sat
+    u_beta = gamma * (y - mean)
+    if scale != 1.0:  # x / 1.0 == x to the bit
+        gap /= scale
+        u_beta /= scale
+    u_alpha = gamma * gap
+    u_alpha += 0.5
     return u_beta, u_alpha
 
 

@@ -7,10 +7,11 @@ epoch.  A noise block holds only each row's band (:func:`noise_band`): the
 narrowest run of w cyclically consecutive columns that holds the nonzeros
 of every row, 4 for a cubic B-spline design and all p columns for a design
 without zeros.  Noise on a zero feature has no effect, so the band's draws
-are the same model in law.  The epoch's design rows are gathered into
-blocks one chunk of at most :data:`EPOCH_CHUNK` batches at a time, and each
-chunk gets the noise of its batches multiplied in at the band entries only,
-so each iteration
+are the same model in law.  The epoch's design blocks are built one chunk
+of at most :data:`EPOCH_CHUNK` batches at a time: a side without noise
+gathers its dense design rows, and a noisy side starts from zeros and
+scatters in its rows' band values times the noise of its batches, the dense
+rows' bits because every entry off the band is +0.0.  Each iteration then
 only takes the next batch's block, evaluates the batch score at the
 perturbed features (equivalently the perturbed coefficients) and applies
 one ADADELTA update, in place, to the joint vector (beta, alpha): the
@@ -28,10 +29,10 @@ own, and gets the numbers it would get alone: the products over the fit axis
 are stacked ``matmul`` calls, which give each fit the bits of its own
 matrix-vector products.  The per-call overhead of numpy on small arrays,
 which dominates one fit's iteration, is then shared by F fits, and so is
-the work of the epoch: each noisy side's noise is one block for the whole
-group, with ones where a fit's side is noise-free (``x * 1.0 == x`` to the
-bit), multiplied into each chunk by one gather and one scatter, and a
-penalized group takes its penalty gradient in one call.
+the work of the epoch: each noisy side's noise is one fit-major block for
+the whole group, with ones where a fit's side is noise-free (``x * 1.0 ==
+x`` to the bit), multiplied into each chunk's band values and scattered in
+once, and a penalized group takes its penalty gradient in one call.
 :func:`lockstep_floats` states the memory one fit holds, so callers can
 size their groups.
 
@@ -113,12 +114,19 @@ def adadelta_step(state: AdadeltaState, grad: np.ndarray, rho: float,
     avg_sq_grad, avg_sq_step = state.avg_sq_grad, state.avg_sq_step
     if avg_sq_grad.shape != grad.shape:
         raise ConfigError("accumulator and gradient lengths differ")
-    num = avg_sq_step + eps
+    step = avg_sq_step + eps
+    sq = grad * grad
+    sq *= 1.0 - rho
     avg_sq_grad *= rho
-    avg_sq_grad += (1.0 - rho) * (grad * grad)
-    step = np.sqrt(num / (avg_sq_grad + eps)) * grad
+    avg_sq_grad += sq
+    np.add(avg_sq_grad, eps, out=sq)
+    step /= sq
+    np.sqrt(step, out=step)
+    step *= grad
+    np.multiply(step, step, out=sq)
+    sq *= 1.0 - rho
     avg_sq_step *= rho
-    avg_sq_step += (1.0 - rho) * (step * step)
+    avg_sq_step += sq
     return step, state
 
 
@@ -181,7 +189,9 @@ def fit_many(spec: GlmSpec, y, rows, noises, config: OptimConfig, rngs,
         if config.batch_size > n:
             raise ConfigError(f"batch size {config.batch_size} exceeds n={n}")
     fits = [_Fit(*args) for args in zip(rows, sizes, noises, rngs, penalties)]
-    bands = noise_band(spec.X), noise_band(spec.Z)
+    # Each design's band columns and the values there, one row per design row.
+    bands = [(band, np.take_along_axis(D, band, axis=1))
+             for D in (spec.X, spec.Z) for band in [noise_band(D)]]
     groups = {}
     for f in fits:
         groups.setdefault((f.n // config.batch_size, f.penalty is not None), []).append(f)
@@ -232,11 +242,15 @@ def lockstep_floats(spec: GlmSpec, n: int, config: OptimConfig) -> int:
       saturated term) per batch row of a chunk;
     * the epoch's row indices and noise blocks, ``1 + w_X + w_Z`` per batch
       row of an epoch;
-    * the transients of a chunk's noise product, three of ``max(w_X, w_Z)``
-      (band positions, gathered entries and their product) per batch row of
-      a chunk;
+    * the transients of a noisy side's chunk, three of ``max(w_X, w_Z)``
+      per batch row of a chunk, a bound on the two it builds: band
+      positions and gathered band values, into which the noise is
+      multiplied in place;
     * the vectors of its iteration: iterate, gradient, the two ADADELTA
       averages and the tail-average sum, five of ``dim``.
+
+    A call also holds, once for all its fits, each design's band values,
+    ``n_spec * (w_X + w_Z)`` floats for the ``n_spec`` rows of ``spec``.
     """
     per_epoch = n // config.batch_size
     chunk_rows = min(per_epoch, EPOCH_CHUNK) * config.batch_size
@@ -250,8 +264,8 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
               bands):
     """Run ``fits``, whose epochs all hold ``per_epoch`` batches and which
     are all penalized or all not, for ``max_iters`` iterations, setting each
-    one's ``result``; ``bands`` are the :func:`noise_band` of ``X`` and
-    ``Z``."""
+    one's ``result``; ``bands`` holds, for ``X`` and for ``Z``, the
+    :func:`noise_band` and the design's values there."""
     kernel = spec.kernel
     X, Z = spec.X, spec.Z
     F, B = len(fits), config.batch_size
@@ -279,25 +293,31 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
     # One chunk of each epoch's design rows with the noise multiplied in,
     # batch-major so that batch c of every fit is the one block ``Xe[c]``; y
     # and the saturated term carry a trailing axis so every (F, B, 1)
-    # operand lines up.
+    # operand lines up.  The views an iteration reads are built once per slot.
     chunk = min(per_epoch, EPOCH_CHUNK)
     Xe = np.empty((chunk, F, B, p))
     Ze = np.empty((chunk, F, B, q))
     ye = np.empty((chunk, F, B, 1))
     sate = np.empty((chunk, F, B, 1))
     XeT, ZeT = Xe.transpose(0, 1, 3, 2), Ze.transpose(0, 1, 3, 2)
+    slots = list(zip(Xe, Ze, XeT, ZeT, ye, sate))
     epoch_rows = np.empty((per_epoch, F, B), dtype=np.intp)
-    # Each noisy side holds the epoch's noise of every fit as one block,
-    # ones where a fit's side is noise-free.  Noise reaches a chunk only at
-    # its rows' bands: flat positions in the raveled chunk are band columns
-    # plus the row's offset.
-    sides = []
-    for side, flat, band, width in (("mean", Xe.reshape(-1), bands[0], p),
-                                    ("disp", Ze.reshape(-1), bands[1], q)):
+    # A side without noise in the group takes its chunk's dense design rows.
+    # A noisy side holds the epoch's noise of every fit as one fit-major
+    # block, ones where a fit's side is noise-free (``x * 1.0 == x`` to the
+    # bit), and builds its chunk as zeros with the noisy band values
+    # scattered in: the design's own bits, as every entry off the band is
+    # +0.0.  Flat positions in the raveled chunk are band columns plus the
+    # row's offset.
+    dense, sides = [], []
+    for side, D, block, (band, vals) in (("mean", X, Xe, bands[0]),
+                                         ("disp", Z, Ze, bands[1])):
         if any(f.noise.param(side) > 0 for f in fits):
-            offset = np.arange(chunk * F * B).reshape(chunk, F, B, 1) * width
-            block = np.ones((per_epoch, F, B, band.shape[1]))
-            sides.append((side, flat, band, offset, block))
+            offset = np.arange(chunk * F * B).reshape(chunk, F, B, 1) * D.shape[1]
+            noise = np.ones((F, per_epoch, B, band.shape[1]))
+            sides.append((side, block, block.reshape(-1), band, vals, offset, noise))
+        else:
+            dense.append((D, block))
     theta = np.empty((F, B, 1))
     eta = np.empty((F, B, 1))
 
@@ -323,33 +343,36 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
                 batches = epoch_batches(f.n, B, f.rng)
                 epoch_rows[:, s] = f.rows[batches]
             for s, f in enumerate(fits):
-                for side, _, band, _, block in sides:
+                for side, *_, noise in sides:
                     if f.noise.param(side) > 0:
-                        block[:, s] = f.noise.draw(side, (per_epoch, B, band.shape[1]),
-                                                   f.rng)
+                        noise[s] = f.noise.draw(side, noise.shape[1:], f.rng)
         c = b % chunk
         if c == 0:
             rows = epoch_rows[b : b + chunk]
             size = len(rows)
-            X.take(rows, axis=0, out=Xe[:size], mode="clip")
-            Z.take(rows, axis=0, out=Ze[:size], mode="clip")
+            for D, block in dense:
+                D.take(rows, axis=0, out=block[:size], mode="clip")
             y.take(rows, out=ye[:size, ..., 0], mode="clip")
             sat.take(rows, out=sate[:size, ..., 0], mode="clip")
-            for _, flat, band, offset, block in sides:
+            for _, block, flat, band, vals, offset, noise in sides:
+                block[:size] = 0.0
                 at = band.take(rows, axis=0)
                 at += offset[:size]
-                flat[at] = flat[at] * block[b : b + size]
+                noisy = vals.take(rows, axis=0)
+                noisy *= noise[:, b : b + size].transpose(1, 0, 2, 3)
+                flat[at] = noisy
 
-        np.matmul(Xe[c], beta, out=theta)
+        Xc, Zc, XcT, ZcT, yc, satc = slots[c]
+        np.matmul(Xc, beta, out=theta)
         np.maximum(theta, -theta_clamp, out=theta)
         np.minimum(theta, theta_clamp, out=theta)
-        np.matmul(Ze[c], alpha, out=eta)
+        np.matmul(Zc, alpha, out=eta)
         np.maximum(eta, -_ETA_CLAMP, out=eta)
         np.minimum(eta, _ETA_CLAMP, out=eta)
         gamma = np.exp(eta, out=eta)
-        u_beta, u_alpha = score_terms(kernel, theta, gamma, ye[c], sate[c], phi)
-        np.matmul(XeT[c], u_beta, out=grad_beta)
-        np.matmul(ZeT[c], u_alpha, out=grad_alpha)
+        u_beta, u_alpha = score_terms(kernel, theta, gamma, yc, satc, phi)
+        np.matmul(XcT, u_beta, out=grad_beta)
+        np.matmul(ZcT, u_alpha, out=grad_alpha)
         grad *= scale
         if penalty is not None:
             pen_beta, pen_alpha = penalty.gradient(beta, alpha)

@@ -5,8 +5,9 @@ pointing at the run manifest beside it, followed by a mandatory header row;
 comma separated, ``.`` decimal, UTF-8.  ``read_rows`` is the one reader of
 CSV inputs.  Manifests record command, resolved config, digest, seed and the
 list (with digests) of outputs, which is enough to rerun a command and
-reproduce its outputs byte for byte (timestamps live only in the manifest,
-never in outputs).
+reproduce its outputs byte for byte on the same builds of Python, numpy and
+scipy, whose versions it records too (timestamps and versions live only in
+the manifest, never in outputs).
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import functools
 import hashlib
 import io
 import json
+import platform
 import typing
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import ConfigError, DataError
@@ -94,6 +97,8 @@ def write_manifest(out_dir, command: str, config: dict, seed, output_names) -> P
         "config_digest": config_digest(config),
         "seed": seed,
         "version": __version__,
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__},
         "created_utc": datetime.datetime.now(datetime.timezone.utc)
         .replace(microsecond=0).isoformat(),
         "outputs": outputs,

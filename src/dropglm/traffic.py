@@ -4,18 +4,21 @@ Input snapshot schema (CSV with a header row):
 
     sensor,direction,date,hour,count
 
-with ``direction`` in {inbound, outbound}, ``date`` as YYYY-MM-DD, ``hour``
-an integer (24 wraps to 0), and ``count`` a nonnegative integer.  Malformed
-rows and duplicate (sensor, direction, date, hour) keys are rejected and
-counted.  Counts are modelled as a double Poisson over hour-of-day with
-cyclic B-spline expansions for the mean and the dispersion; the dropout
-parameters come from random-search CV over [0,1]^2 (Bernoulli) or [0,2]^2
-(Gaussian noise).
+with ``direction`` in {inbound, outbound}, ``date`` as literal YYYY-MM-DD,
+``hour`` an integer 0-24 (24 wraps to 0) and ``count`` a nonnegative
+integer, both written in ASCII digits only (no sign, ``_`` or other
+scripts' digits; surrounding whitespace is allowed).  Malformed rows and
+duplicate (sensor, direction, date, hour) keys are rejected and counted.
+Counts are modelled as a double Poisson over hour-of-day with cyclic
+B-spline expansions for the mean and the dispersion; the dropout parameters
+come from random-search CV over [0,1]^2 (Bernoulli) or [0,2]^2 (Gaussian
+noise).
 """
 
 from __future__ import annotations
 
 import datetime
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +36,9 @@ DIRECTIONS = ("inbound", "outbound")
 TRAFFIC_RECTS = {"bernoulli": ((0.0, 1.0), (0.0, 1.0)),
                  "gaussian": ((0.0, 2.0), (0.0, 2.0))}
 HOUR_GRID = np.linspace(0.0, 24.0, 241)
+# Only this form: date.fromisoformat also reads 20190702 and 2019-W27-3
+# from Python 3.11 on.
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class TrafficRecord(NamedTuple):
@@ -70,19 +76,23 @@ def read_traffic_csv(path) -> TrafficData:
     indices = [column[c] for c in required]
     i_sensor, i_direction, i_date, i_hour, i_count = indices
     width = 1 + max(indices)
+    dates = {}  # each distinct date cell is parsed once
     for row in rows:
         if len(row) < width:
             rejected += 1
             continue
         direction = row[i_direction].strip().lower()
         try:
-            date = datetime.date.fromisoformat(row[i_date].strip())
-            hour = int(row[i_hour])
-            count = int(row[i_count])
+            cell = row[i_date].strip()
+            date = dates.get(cell)
+            if date is None:
+                date = dates[cell] = _iso_date(cell)
+            hour = _digits(row[i_hour])
+            count = _digits(row[i_count])
         except ValueError:
             rejected += 1
             continue
-        if direction not in DIRECTIONS or not 0 <= hour <= 24 or count < 0:
+        if direction not in DIRECTIONS or hour > 24:
             rejected += 1
             continue
         rec = TrafficRecord(row[i_sensor].strip(), direction, date, hour % 24, count)
@@ -93,6 +103,20 @@ def read_traffic_csv(path) -> TrafficData:
         seen.add(key)
         records.append(rec)
     return TrafficData(records=records, rejected=rejected)
+
+
+def _iso_date(cell: str) -> datetime.date:
+    if not _DATE.fullmatch(cell):
+        raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
+    return datetime.date.fromisoformat(cell)
+
+
+def _digits(cell: str) -> int:
+    """A nonnegative integer written in ASCII digits, whitespace around."""
+    cell = cell.strip()
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"not a nonnegative integer: {cell!r}")
+    return int(cell)
 
 
 def select_series(data: TrafficData, sensor: str, direction: str,

@@ -46,9 +46,9 @@ PMLE_WEIGHT_UNIT = 50_000.0
 # optim.lockstep_floats: 3 MB, 14 traffic-sized fits (1,767 rows, 24/12
 # cyclic knots, 26,100 floats each), so a traffic CV of 2 x 5 fits runs as
 # one group, or 33 desk-sized ones (167 rows, 30/20 knots, 11,200 floats).
-# With Bernoulli noise on both sides, a traffic-sized fit costs 27 us per
-# iteration alone, 9 us in a group of 5 and 7 us in one of 10 (2-core host,
-# one BLAS thread).
+# With Bernoulli noise on both sides, a traffic-sized fit costs 26 us per
+# iteration alone, 8 us in a group of 5, 6 us in one of 10 and 5.7 us in
+# one of 14 (2-core host, one BLAS thread).
 CV_GROUP_FLOATS = 375_000
 
 

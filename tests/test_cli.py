@@ -488,6 +488,17 @@ class TestExitCodes:
                        "--out", str(tmp_path / "o")) == 3
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("cells", ["0.5,1_0", "0_5,1.0"])
+    def test_underscore_in_a_number_exits_3(self, tmp_path, capsys, cells):
+        # float() reads 1_0 as 10.0; an x,y cell holds a plain number.
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n0.25,1.0\n" + cells + "\n")
+        assert run_cli("fit", "--data", str(data), "--config", small_model(tmp_path),
+                       "--method", "bernoulli", "--params", "0.1,0.1",
+                       "--out", str(tmp_path / "o")) == 3
+        assert "_" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["cv", "fit"])
     def test_non_finite_x_exits_3(self, tmp_path, capsys, command):
         x = np.linspace(0, 1, 40)
@@ -828,6 +839,29 @@ class TestExitCodes:
         assert "cv_folds" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cells_outside_the_schema_are_rejected(self, tmp_path):
+        # Python's int() and date.fromisoformat() read more than the schema
+        # allows (and fromisoformat more from 3.11 on): underscores, signs
+        # and non-ASCII digits in hour and count, basic and week dates.
+        # Surrounding whitespace is still allowed.
+        from dropglm.traffic import read_traffic_csv
+
+        good = ["W1,inbound,2019-06-01, 7 ,5", "W1,inbound, 2019-06-01 ,8,\t12 "]
+        bad = ["W1,inbound,2019-06-01,1_0,5", "W1,inbound,2019-06-01,9,1_2",
+               "W1,inbound,2019-06-01,\u0663,5", "W1,inbound,2019-06-01,9,\u0663",
+               "W1,inbound,2019-06-01,\uff11,5", "W1,inbound,2019-06-01,\u00b2,5",
+               "W1,inbound,2019-06-01,+9,5", "W1,inbound,2019-06-01,9,+5",
+               "W1,inbound,2019-06-01,,5", "W1,inbound,20190702,9,5",
+               "W1,inbound,2019-W27-3,9,5", "W1,inbound,2019W273,9,5",
+               "W1,inbound,2019-6-01,9,5", "W1,inbound,\u0662019-06-01,9,5"]
+        path = tmp_path / "traffic.csv"
+        path.write_text("\n".join(["sensor,direction,date,hour,count", *good, *bad])
+                        + "\n", encoding="utf-8")
+        data = read_traffic_csv(path)
+        assert data.rejected == len(bad)
+        assert [(r.date.isoformat(), r.hour, r.count) for r in data.records] == [
+            ("2019-06-01", 7, 5), ("2019-06-01", 8, 12)]
+
     def test_malformed_rows_rejected_with_count(self, tmp_path):
         csv_path = tmp_path / "traffic.csv"
         make_traffic_csv(csv_path, days=3)
@@ -879,6 +913,21 @@ class TestCsvRoundTrip:
 
         assert manifest["outputs"][0]["sha256"] == sha256_file(
             tmp_path / "o" / "data.csv")
+
+    def test_manifest_records_its_environment(self, tmp_path):
+        # Reruns reproduce outputs to the bit only on the same builds.
+        import platform
+
+        import scipy
+
+        data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
+        assert run_cli("fit", "--data", data, "--config", small_model(tmp_path),
+                       "--method", "bernoulli", "--params", "0.1,0.1",
+                       "--out", str(tmp_path / "o")) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["environment"] == {"python": platform.python_version(),
+                                           "numpy": np.__version__,
+                                           "scipy": scipy.__version__}
 
     @pytest.mark.parametrize("value,text", [
         (3, "3"), (-2**63, "-9223372036854775808"), (np.int64(-7), "-7"),

@@ -392,6 +392,27 @@ class TestNoiseBand:
             rebuilt[rows, band] = D[rows, band]
             assert np.array_equal(rebuilt, D)
 
+    @pytest.mark.parametrize("x,knots,boundary,widths", [
+        (np.random.default_rng(25).random(300), (30, 20), "natural", (4, 4)),
+        (np.random.default_rng(26).random(300) * 24.0, (24, 12), "cyclic", (4, 4)),
+        # Integer hours are the knots of the 24-knot cyclic mean basis on
+        # [0, 24], where a cubic B-spline row has only three nonzeros.
+        (np.tile(np.arange(24.0), 5), (24, 12), "cyclic", (3, 4))])
+    def test_entries_off_the_band_are_positive_zero(self, x, knots, boundary, widths):
+        # The fit builds its noisy design blocks as zeros plus the band
+        # values, which gives the design's own bits only if every entry
+        # outside the band is +0.0, not -0.0.
+        model = SplineModel("dpoisson", mean_knots=knots[0], disp_knots=knots[1],
+                            lo=0.0, hi=24.0 if boundary == "cyclic" else 1.0,
+                            boundary=boundary)
+        spec = model.spec(x)
+        for D, width in zip((spec.X, spec.Z), widths):
+            band = optim.noise_band(D)
+            assert band.shape == (spec.n, width)
+            off = np.ones(D.shape, dtype=bool)
+            off[np.arange(spec.n)[:, None], band] = False
+            assert np.all(D[off] == 0.0) and not np.signbit(D[off]).any()
+
     def test_dense_design_band_is_every_column_in_order(self):
         D = np.random.default_rng(23).normal(size=(50, 7))
         assert np.array_equal(optim.noise_band(D), np.tile(np.arange(7), (50, 1)))
@@ -502,6 +523,27 @@ def test_group_across_chunks_equals_each_fit_alone():
     for (_, method, params), result in zip(cases, results):
         alone = fit_method(spec, y, method, params, OptimConfig(**CHUNK_OPTIM),
                            substream(7, "chunk", method))
+        assert _fit_digest(result) == _fit_digest(alone)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "dpoisson"])
+def test_mixed_noise_group_equals_each_fit_alone(family):
+    # One unpenalized group across chunks (29 batches an epoch) whose sides
+    # mix: noise on both, the dispersion only, the mean only and neither.
+    # The mean side carries a noise-free fit and the dispersion side two,
+    # each row order its own, and every fit gets the bits it gets alone.
+    spec, y = _chunk_case(family)
+    noises = [NoiseSpec.bernoulli(0.3, 0.2), NoiseSpec.bernoulli(0.0, 0.4),
+              NoiseSpec.gaussian(0.5, 0.0), NoiseSpec.none()]
+    order = np.random.default_rng(27)
+    rows = [np.arange(spec.n), order.permutation(spec.n), np.arange(spec.n)[::-1],
+            order.permutation(spec.n)]
+    config = OptimConfig(**CHUNK_OPTIM)
+    results = optim.fit_many(spec, y, rows, noises, config,
+                             [substream(7, "mixed", f) for f in range(4)], [None] * 4)
+    for f, result in enumerate(results):
+        alone, = optim.fit_many(spec, y, [rows[f]], [noises[f]], config,
+                                [substream(7, "mixed", f)], [None])
         assert _fit_digest(result) == _fit_digest(alone)
 
 
