@@ -18,7 +18,7 @@ unity, and local support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,21 +58,16 @@ class SplineBasis:
     lo: float
     hi: float
     nknots: int
-    mode: str  # "natural" | "cyclic"
-    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    mode: str = "natural"  # "natural" | "cyclic"
 
     def __post_init__(self):
         if self.mode not in ("natural", "cyclic"):
             raise ConfigError(f"mode must be 'natural' or 'cyclic', got {self.mode!r}")
-        if self.nknots < 4:
-            raise ConfigError(f"need at least 4 knots, got {self.nknots}")
+        if not isinstance(self.nknots, (int, np.integer)) or self.nknots < 4:
+            raise ConfigError(f"knot count must be an integer of at least 4, got "
+                              f"{self.nknots!r}")
         if not self.lo < self.hi:
             raise ConfigError(f"empty domain [{self.lo}, {self.hi}]")
-        if self.mode == "natural":
-            knots = np.linspace(self.lo, self.hi, self.nknots)
-        else:
-            knots = self.lo + self.spacing * np.arange(self.nknots)
-        object.__setattr__(self, "knots", knots)
 
     @property
     def spacing(self) -> float:
@@ -81,16 +76,8 @@ class SplineBasis:
         return (self.hi - self.lo) / self.nknots
 
     @property
-    def dim(self) -> int:
-        return self.nknots
-
-    @property
     def period(self) -> float:
         return self.hi - self.lo
-
-
-def build_basis(lo: float, hi: float, nknots: int, mode: str = "natural") -> SplineBasis:
-    return SplineBasis(lo=float(lo), hi=float(hi), nknots=int(nknots), mode=mode)
 
 
 def _fold_natural(design: np.ndarray) -> np.ndarray:

@@ -83,8 +83,9 @@ def _input_digest(path) -> str:
 
 
 def _number(cell: str) -> float:
-    """float() of a CSV cell, less the Python literal's ``_`` separators."""
-    if "_" in cell:
+    """float() of an ASCII CSV cell, less the Python literal's ``_`` separators
+    and the digits of other scripts that float() also reads."""
+    if "_" in cell or not cell.isascii():
         raise ValueError(f"could not convert string to float: {cell!r}")
     return float(cell)
 

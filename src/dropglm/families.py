@@ -95,7 +95,6 @@ class GaussianKernel(FamilyKernel):
     """b(theta) = theta^2/2, support R.  The DEF is exactly N(theta, phi/gamma)."""
 
     name = "gaussian"
-    discrete = False
 
     def b(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -321,13 +320,6 @@ def def_moments(kernel, params: DefParams):
     return mean, var
 
 
-def def_sample(kernel, params: DefParams, rng: np.random.Generator,
-               size: int) -> np.ndarray:
-    """i.i.d. draws from the exactly normalized DEF (``def_sample_each``)."""
-    return def_sample_each(kernel, np.full(size, params.theta), np.full(size, params.gamma),
-                           rng, phi=params.phi)
-
-
 def def_sample_each(kernel, thetas, gammas, rng: np.random.Generator,
                     phi: float = 1.0) -> np.ndarray:
     """One draw per observation with per-observation (theta, gamma).
@@ -365,14 +357,3 @@ def kernel_for(family: str, trials: int) -> FamilyKernel:
         return BinomialKernel(trials)
     raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
 
-
-def gaussian() -> GaussianKernel:
-    return GaussianKernel()
-
-
-def poisson() -> PoissonKernel:
-    return PoissonKernel()
-
-
-def binomial(trials: int) -> BinomialKernel:
-    return BinomialKernel(trials)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import SplineBasis, build_basis, design_matrix
+from .basis import SplineBasis, design_matrix
 from .errors import ConfigError
 from .families import FAMILIES, FamilyKernel, kernel_for
 
@@ -101,13 +101,15 @@ class SplineModel:
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ConfigError(f"lo and hi must be finite, got [{self.lo}, {self.hi}]")
         self.kernel()  # checks trials
+        self.bases()  # checks the knot counts and lo < hi
 
     def kernel(self) -> FamilyKernel:
         return kernel_for(self.family, self.trials)
 
     def bases(self) -> tuple[SplineBasis, SplineBasis]:
-        return (build_basis(self.lo, self.hi, self.mean_knots, self.boundary),
-                build_basis(self.lo, self.hi, self.disp_knots, self.boundary))
+        lo, hi = float(self.lo), float(self.hi)  # a JSON config may hold integers
+        return (SplineBasis(lo, hi, self.mean_knots, self.boundary),
+                SplineBasis(lo, hi, self.disp_knots, self.boundary))
 
     def spec(self, x) -> GlmSpec:
         """Designs at ``x`` with zero coefficients."""

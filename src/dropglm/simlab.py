@@ -96,7 +96,7 @@ class ScenarioConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
-        self.model  # checks the family and trials
+        self.model  # checks the family, trials and knot counts
         if self.family == "dbinomial" and self.trials <= F2_MAX:
             raise ConfigError(f"dbinomial trials must exceed f2's maximum {F2_MAX}, "
                               f"got {self.trials}")
@@ -109,8 +109,6 @@ class ScenarioConfig:
             raise ConfigError("cv_folds must be at least 2")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.mean_knots < 4 or self.disp_knots < 4:
-            raise ConfigError("knot counts must be at least 4")
 
     @property
     def mean_function(self):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dropglm import families as fam
-from dropglm.basis import build_basis, design_matrix
+from dropglm.basis import SplineBasis, design_matrix
 from dropglm.dropout import (
     NoiseSpec,
     exact_penalty_gap,
@@ -38,8 +38,8 @@ PUBLISHED_SEED = 20240801
 # trailing 2500 iterates; every fit runs the whole budget.
 DESK_OPTIM = OptimConfig(batch_size=30, max_iters=5000, avg_window=2500)
 
-KERNELS = {"gaussian": fam.gaussian(), "poisson": fam.poisson(),
-           "binomial": fam.binomial(10)}
+KERNELS = {"gaussian": fam.GaussianKernel(), "poisson": fam.PoissonKernel(),
+           "binomial": fam.BinomialKernel(10)}
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -256,18 +256,20 @@ def test_criterion_7_def_normalization_and_sampling():
         for mu in (3.0, 15.0, 45.0):
             _, p = fam.def_pmf(KERNELS["poisson"], DefParams(theta=np.log(mu), gamma=gamma))
             assert abs(p.sum() - 1.0) < 1e-10
-        _, p = fam.def_pmf(fam.binomial(70), DefParams(theta=0.4, gamma=gamma))
+        _, p = fam.def_pmf(fam.BinomialKernel(70), DefParams(theta=0.4, gamma=gamma))
         assert abs(p.sum() - 1.0) < 1e-10
 
     # Sampler moments match the exact moments within 3 SE at 1e5 draws.
     cases = [
         (KERNELS["poisson"], DefParams(theta=np.log(8.0), gamma=0.5)),
         (KERNELS["poisson"], DefParams(theta=np.log(20.0), gamma=2.0)),
-        (fam.binomial(70), DefParams(theta=0.0, gamma=0.6)),
+        (fam.BinomialKernel(70), DefParams(theta=0.0, gamma=0.6)),
         (KERNELS["gaussian"], DefParams(theta=1.0, gamma=4.0, phi=0.64)),
     ]
     for kernel, params in cases:
-        draws = fam.def_sample(kernel, params, np.random.default_rng(6000), 100_000)
+        draws = fam.def_sample_each(kernel, np.full(100_000, params.theta),
+                                    np.full(100_000, params.gamma),
+                                    np.random.default_rng(6000), phi=params.phi)
         mean, var = fam.def_moments(kernel, params)
         if kernel.discrete:
             grid, p = fam.def_pmf(kernel, params)
@@ -286,7 +288,7 @@ def test_criterion_7_def_normalization_and_sampling():
 
     assert np.max(np.abs(p - sp_poisson.pmf(grid, 4.0))) < 1e-12
     p_bin = DefParams(theta=0.3, gamma=1.0)
-    grid, p = fam.def_pmf(fam.binomial(12), p_bin)
+    grid, p = fam.def_pmf(fam.BinomialKernel(12), p_bin)
     prob = 1.0 / (1.0 + np.exp(-0.3))
     assert np.max(np.abs(p - binom.pmf(grid, 12, prob))) < 1e-12
     mean, var = fam.def_moments(KERNELS["gaussian"], DefParams(theta=0.7, gamma=1.0, phi=2.0))
@@ -297,10 +299,10 @@ def test_criterion_7_def_normalization_and_sampling():
 def test_criterion_8_spline_gates():
     rng = np.random.default_rng(108)
     x = rng.random(1000)
-    nat = build_basis(0.0, 1.0, 30, "natural")
+    nat = SplineBasis(0.0, 1.0, 30, "natural")
     assert np.max(np.abs(design_matrix(nat, x).sum(axis=1) - 1.0)) < 1e-12
 
-    cyc = build_basis(0.0, 24.0, 12, "cyclic")
+    cyc = SplineBasis(0.0, 24.0, 12, "cyclic")
     for deriv in (0, 1):
         lo = design_matrix(cyc, [0.0], deriv=deriv)
         hi = design_matrix(cyc, [24.0], deriv=deriv)

@@ -1,7 +1,7 @@
 """Every binding site the benchmark expects to fire is still bound and fires
 on a miniature call of its workload, every layer does work on exactly the
-workloads predicted, and every work-counting hook of the tracer reads what
-its layer returns.
+workloads predicted, every work-counting hook of the tracer reads what its
+layer returns, and each workload's first full-size call passes its checks.
 
 The benchmark's tracer wraps a layer's function wherever a ``dropglm``
 module holds it under some name, and a ``--trace 1`` run fails if an
@@ -26,8 +26,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # run.py sets BLAS thread variables at import; keep them out of this process.
 with mock.patch.dict(os.environ), mock.patch.object(sys, "path",
                                                     [str(PERFBENCH), *sys.path]):
-    from run import BUSY_LAYERS, EXPECTED_SITES
+    from run import BUSY_LAYERS, EXPECTED_SITES, manifest_problems
     from tracer import HOOKS, LAYERS, Tracer
+    from workloads import WORKLOADS
 
 
 def resolve(module_name: str, attr: str):
@@ -90,12 +91,27 @@ def test_miniature_call_fires_the_predicted_sites_and_layers(tmp_path, workload)
     assert busy == BUSY_LAYERS[workload]
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_first_benchmark_call_passes_its_checks(tmp_path, name):
+    # The workload's own call 0 at full size, checked as the benchmark checks
+    # it, so a renamed config key, output column or check fails here first.
+    from dropglm import cli
+
+    workload = WORKLOADS[name](0, tmp_path)
+    assert getattr(workload, "setup_problems", []) == []
+    out = tmp_path / "out"
+    assert cli.main(workload.argv(0, out)) == 0
+    assert manifest_problems(out) == []
+    problems, units, divergent = workload.check(0, out)
+    assert problems == [] and units > 0 and divergent == 0
+
+
 def hook_calls(tmp_path):
     """One small real call per hooked layer, as (args, kwargs)."""
     import numpy as np
 
     from dropglm import families as fam
-    from dropglm.basis import build_basis
+    from dropglm.basis import SplineBasis
     from dropglm.dropout import NoiseSpec
     from dropglm.optim import OptimConfig
     from dropglm.simlab import ScenarioConfig, generate_dataset
@@ -110,10 +126,10 @@ def hook_calls(tmp_path):
         "optim.fit": ((spec, y, NoiseSpec.bernoulli(0.2, 0.2),
                        OptimConfig(batch_size=10, max_iters=5),
                        np.random.default_rng(0)), {}),
-        "families.def_sample_each": ((fam.poisson(), np.zeros(3), np.ones(3),
+        "families.def_sample_each": ((fam.PoissonKernel(), np.zeros(3), np.ones(3),
                                       np.random.default_rng(0)), {}),
         "model.loglik": ((spec, y), {}),
-        "basis.design_matrix": ((build_basis(0.0, 1.0, 6), x), {}),
+        "basis.design_matrix": ((SplineBasis(0.0, 1.0, 6), x), {}),
         "traffic.read_traffic_csv": ((snapshot,), {}),
         "runio.write_csv": ((tmp_path / "out.csv", ["a"], [[1.0]]), {}),
     }

@@ -206,7 +206,7 @@ def make_traffic_csv(path: Path, days=40, wrap_hour=False):
     """Synthetic double-Poisson counts: bimodal mean with a morning
     overdispersion dip; returns the truth peak hours."""
     rng = np.random.default_rng(1234)
-    kernel = fam.poisson()
+    kernel = fam.PoissonKernel()
     hours = np.tile(np.arange(24, dtype=float), days)
     mean = (150.0 + 400.0 * np.exp(-((hours - 8.0) ** 2) / (2 * 1.5**2))
             + 350.0 * np.exp(-((hours - 17.5) ** 2) / (2 * 1.5**2)))
@@ -498,6 +498,28 @@ class TestExitCodes:
                        "--out", str(tmp_path / "o")) == 3
         assert "_" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cells,bad", [("0.1,\u0663", "\u0663"),
+                                           ("\uff10.\uff15,1.0", "\uff10.\uff15"),
+                                           ("0.1,\uff11\uff12", "\uff11\uff12")])
+    def test_non_ascii_digits_exit_3(self, tmp_path, capsys, cells, bad):
+        # float() reads the Arabic-Indic three as 3.0 and full-width digits as
+        # their ASCII twins; an x,y cell holds a plain ASCII number.
+        data = Path(write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40)))
+        data.write_text(data.read_text() + cells + "\n")
+        assert run_cli("fit", "--data", str(data), "--config", small_model(tmp_path),
+                       "--method", "bernoulli", "--params", "0.1,0.1",
+                       "--out", str(tmp_path / "o")) == 3
+        assert repr(bad) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_plain_ascii_numbers_still_read(self, tmp_path):
+        from dropglm.cli import _read_xy
+
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n1e-3, -2.5 \n+0.5,1.0\n")
+        x, y = _read_xy(data)
+        assert x.tolist() == [0.001, 0.5] and y.tolist() == [-2.5, 1.0]
 
     @pytest.mark.parametrize("command", ["cv", "fit"])
     def test_non_finite_x_exits_3(self, tmp_path, capsys, command):

@@ -34,7 +34,7 @@ def sample_response(spec, rng):
     return rng.binomial(spec.kernel.trials, 1.0 / (1.0 + np.exp(-theta))).astype(float)
 
 
-KERNELS = [fam.gaussian(), fam.poisson(), fam.binomial(10)]
+KERNELS = [fam.GaussianKernel(), fam.PoissonKernel(), fam.BinomialKernel(10)]
 
 
 class TestNoiseSpec:
@@ -73,7 +73,7 @@ class TestPerturb:
 class TestMcObjective:
     def test_no_noise_equals_negative_loglik(self):
         rng = np.random.default_rng(4)
-        spec = random_spec(fam.poisson(), rng)
+        spec = random_spec(fam.PoissonKernel(), rng)
         y = sample_response(spec, rng)
         est = mc_dropout_objective(spec, y, NoiseSpec.none(), 10, rng)
         assert est.value == pytest.approx(-loglik(spec, y), abs=1e-10)
@@ -83,7 +83,7 @@ class TestMcObjective:
     def test_gaussian_family_mean_noise_is_exact(self, kind):
         # For b(t) = t^2/2 the quadratic penalty is exact, any unit-mean noise.
         rng = np.random.default_rng(5)
-        spec = random_spec(fam.gaussian(), rng, n=12, dm=4)
+        spec = random_spec(fam.GaussianKernel(), rng, n=12, dm=4)
         y = sample_response(spec, rng)
         noise = (NoiseSpec.gaussian(0.4) if kind == "gaussian"
                  else NoiseSpec.bernoulli(0.3))
@@ -95,7 +95,7 @@ class TestMcObjective:
 
     def test_poisson_small_noise_within_remainder(self):
         rng = np.random.default_rng(7)
-        spec = random_spec(fam.poisson(), rng, n=6, dm=3)
+        spec = random_spec(fam.PoissonKernel(), rng, n=6, dm=3)
         y = sample_response(spec, rng)
         noise = NoiseSpec.gaussian(0.1)
         est = mc_dropout_objective(spec, y, noise, 300_000, np.random.default_rng(8))
@@ -112,7 +112,7 @@ class TestMcObjective:
 class TestExactPenaltyGap:
     def test_gaussian_quadratic_gap(self):
         rng = np.random.default_rng(9)
-        spec = random_spec(fam.gaussian(), rng)
+        spec = random_spec(fam.GaussianKernel(), rng)
         noise = NoiseSpec.gaussian(0.5)
         gaps, ses = exact_penalty_gap(spec, noise, 100_000, np.random.default_rng(10))
         exact = (spec.gamma * 0.5 * noise.mean_variance
@@ -121,13 +121,13 @@ class TestExactPenaltyGap:
 
     def test_zero_noise_zero_gap(self):
         rng = np.random.default_rng(11)
-        spec = random_spec(fam.poisson(), rng)
+        spec = random_spec(fam.PoissonKernel(), rng)
         gaps, ses = exact_penalty_gap(spec, NoiseSpec.gaussian(0.0), 100, rng)
         assert np.max(np.abs(gaps)) == 0.0
 
     def test_poisson_lognormal_gap(self):
         # x = beta = (1): gap = E[e^xi] - e = e(e^{sigma^2/2} - 1) exactly.
-        spec = GlmSpec(kernel=fam.poisson(), X=np.array([[1.0]]),
+        spec = GlmSpec(kernel=fam.PoissonKernel(), X=np.array([[1.0]]),
                        Z=np.array([[1.0]]), beta=np.array([1.0]),
                        alpha=np.array([0.0]))
         noise = NoiseSpec.gaussian(0.5)
@@ -148,7 +148,7 @@ class TestExactPenaltyGap:
 
     def test_disp_noise_rejected(self):
         rng = np.random.default_rng(14)
-        spec = random_spec(fam.gaussian(), rng)
+        spec = random_spec(fam.GaussianKernel(), rng)
         with pytest.raises(ConfigError):
             exact_penalty_gap(spec, NoiseSpec.gaussian(0.1, 0.2), 100, rng)
 
@@ -156,13 +156,13 @@ class TestExactPenaltyGap:
 class TestPenaltyMatrices:
     def test_zero_disp_noise_degenerates(self):
         rng = np.random.default_rng(15)
-        spec = random_spec(fam.poisson(), rng)
+        spec = random_spec(fam.PoissonKernel(), rng)
         snap = penalty_matrices(spec, NoiseSpec.gaussian(0.5, 0.0))
         assert np.allclose(snap.Lambda, 1.0)
         assert np.allclose(snap.Theta_tilde, snap.Theta)
 
     def test_single_observation_identity(self):
-        spec = GlmSpec(kernel=fam.gaussian(), X=np.array([[1.0]]),
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=np.array([[1.0]]),
                        Z=np.array([[1.0]]), beta=np.zeros(1), alpha=np.zeros(1))
         snap = penalty_matrices(spec, NoiseSpec.gaussian(0.0, 0.0))
         assert snap.W[0] == pytest.approx(1.0)
@@ -170,7 +170,7 @@ class TestPenaltyMatrices:
 
     def test_hand_computed_theta(self):
         # x=(1,2)', W=diag(1,4) -> Theta = sqrt(1 + 16) = sqrt(17).
-        spec = GlmSpec(kernel=fam.gaussian(), X=np.array([[1.0], [2.0]]),
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=np.array([[1.0], [2.0]]),
                        Z=np.array([[0.0], [1.0]]), beta=np.zeros(1),
                        alpha=np.array([np.log(4.0)]))
         snap = penalty_matrices(spec, NoiseSpec.none())
@@ -178,7 +178,7 @@ class TestPenaltyMatrices:
 
     def test_monotonicity_and_ordering(self):
         rng = np.random.default_rng(16)
-        spec = random_spec(fam.binomial(10), rng)
+        spec = random_spec(fam.BinomialKernel(10), rng)
         snap = penalty_matrices(spec, NoiseSpec.gaussian(0.5, 0.7))
         assert np.all(snap.Lambda >= 1.0)
         assert np.all(snap.W_tilde > snap.W * (1 - 1e-15))
@@ -191,7 +191,7 @@ class TestPenaltyMatrices:
         X = np.zeros((6, 2))
         X[:, 0] = rng.normal(size=6)
         X[3, 1] = 2.0
-        spec = GlmSpec(kernel=fam.poisson(), X=X, Z=np.ones((6, 1)),
+        spec = GlmSpec(kernel=fam.PoissonKernel(), X=X, Z=np.ones((6, 1)),
                        beta=np.array([0.1, 0.2]), alpha=np.array([0.3]))
         snap = penalty_matrices(spec, NoiseSpec.none())
         expected = np.sqrt(snap.W[3] * 4.0)
@@ -200,7 +200,7 @@ class TestPenaltyMatrices:
     def test_zero_column_warns(self):
         X = np.zeros((4, 2))
         X[:, 0] = 1.0
-        spec = GlmSpec(kernel=fam.gaussian(), X=X, Z=np.ones((4, 1)),
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=X, Z=np.ones((4, 1)),
                        beta=np.zeros(2), alpha=np.zeros(1))
         with pytest.warns(UserWarning, match="no.*penalty|unidentifiable"):
             penalty_matrices(spec, NoiseSpec.none())
@@ -209,14 +209,14 @@ class TestPenaltyMatrices:
 class TestPenalizedObjective:
     def test_no_noise_is_negative_loglik(self):
         rng = np.random.default_rng(18)
-        spec = random_spec(fam.binomial(10), rng)
+        spec = random_spec(fam.BinomialKernel(10), rng)
         y = sample_response(spec, rng)
         got = penalized_objective(spec, y, NoiseSpec.gaussian(0.0, 0.0))
         assert got == pytest.approx(-loglik(spec, y), abs=1e-10)
 
     def test_matches_mc_for_gaussian_family(self):
         rng = np.random.default_rng(19)
-        spec = random_spec(fam.gaussian(), rng, n=10, dm=3)
+        spec = random_spec(fam.GaussianKernel(), rng, n=10, dm=3)
         y = sample_response(spec, rng)
         noise = NoiseSpec.gaussian(0.5, 0.0)
         est = mc_dropout_objective(spec, y, noise, 300_000, np.random.default_rng(20))
@@ -225,7 +225,7 @@ class TestPenalizedObjective:
     def test_lognormal_dispersion_expectation_example(self):
         # z = (1, 0), alpha = (log 2, 5), sigma_g = 1:
         # E[gamma~] = 2 exp((log 2)^2 / 2) ~ 2.543, checked against MC.
-        spec = GlmSpec(kernel=fam.gaussian(), X=np.ones((1, 1)),
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=np.ones((1, 1)),
                        Z=np.array([[1.0, 0.0]]), beta=np.zeros(1),
                        alpha=np.array([np.log(2.0), 5.0]))
         noise = NoiseSpec.gaussian(0.0, 1.0)
@@ -244,7 +244,7 @@ class TestPenalizedObjective:
         dg = 24
         z = rng.uniform(0.5, 1.5, dg)
         alpha = rng.normal(0.0, 0.08, dg)
-        spec = GlmSpec(kernel=fam.gaussian(), X=np.ones((1, 1)), Z=z[None, :],
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=np.ones((1, 1)), Z=z[None, :],
                        beta=np.zeros(1), alpha=alpha)
         noise = NoiseSpec.bernoulli(0.0, 0.3)
         formula = expected_noisy_dispersion(spec, noise)[0]
@@ -308,7 +308,7 @@ class TestRemainders:
     def test_binomial_mc_remainder_within_bound(self):
         rng = np.random.default_rng(26)
         trials = 10
-        kernel = fam.binomial(trials)
+        kernel = fam.BinomialKernel(trials)
         for _ in range(10):
             d = rng.integers(1, 5)
             x = rng.normal(size=d)

@@ -10,9 +10,9 @@ from dropglm.simlab import ScenarioConfig
 
 
 KERNELS = {
-    "gaussian": fam.gaussian(),
-    "poisson": fam.poisson(),
-    "binomial": fam.binomial(10),
+    "gaussian": fam.GaussianKernel(),
+    "poisson": fam.PoissonKernel(),
+    "binomial": fam.BinomialKernel(10),
 }
 
 
@@ -51,19 +51,19 @@ class TestLogDensity:
     def test_poisson_gamma_one_matches_pmf(self):
         # gamma = 1 reduces the DEF to the plain Poisson pmf.
         params = DefParams(theta=np.log(2.0), gamma=1.0)
-        got = fam.def_log_density(fam.poisson(), params, 3.0)
+        got = fam.def_log_density(fam.PoissonKernel(), params, 3.0)
         expected = np.log(np.exp(-2.0) * 2.0**3 / 6.0)  # independent pmf evaluation
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_gaussian_standard_normal(self):
         params = DefParams(theta=0.0, gamma=1.0)
-        got = fam.def_log_density(fam.gaussian(), params, 0.0)
+        got = fam.def_log_density(fam.GaussianKernel(), params, 0.0)
         assert got == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
     def test_poisson_half_gamma_at_zero(self):
         # Hand evaluation: 0.5*log(0.5) + 0.5*(0 - 1) + 0.5*(0 - 0) + 0.
         params = DefParams(theta=0.0, gamma=0.5)
-        got = fam.def_log_density(fam.poisson(), params, 0.0)
+        got = fam.def_log_density(fam.PoissonKernel(), params, 0.0)
         assert got == pytest.approx(0.5 * np.log(0.5) - 0.5, abs=1e-12)
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -82,11 +82,11 @@ class TestLogDensity:
     def test_out_of_support_raises(self):
         params = DefParams(theta=0.0, gamma=1.0)
         with pytest.raises(DomainError):
-            fam.def_log_density(fam.poisson(), params, -1.0)
+            fam.def_log_density(fam.PoissonKernel(), params, -1.0)
         with pytest.raises(DomainError):
-            fam.def_log_density(fam.poisson(), params, 2.5)
+            fam.def_log_density(fam.PoissonKernel(), params, 2.5)
         with pytest.raises(DomainError):
-            fam.def_log_density(fam.binomial(10), params, 11.0)
+            fam.def_log_density(fam.BinomialKernel(10), params, 11.0)
 
     def test_nonpositive_gamma_raises(self):
         with pytest.raises(DomainError):
@@ -97,15 +97,15 @@ class TestLogDensity:
 
 class TestNormalizer:
     def test_binomial_gamma_one_is_exact(self):
-        norm = fam.def_normalizer(fam.binomial(10), DefParams(theta=0.7, gamma=1.0))
+        norm = fam.def_normalizer(fam.BinomialKernel(10), DefParams(theta=0.7, gamma=1.0))
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_poisson_normalized_pmf_sums_to_one(self):
         params = DefParams(theta=np.log(4.0), gamma=0.5)
-        norm = fam.def_normalizer(fam.poisson(), params)
-        grid = fam.poisson().support_grid(4.0)
+        norm = fam.def_normalizer(fam.PoissonKernel(), params)
+        grid = fam.PoissonKernel().support_grid(4.0)
         logp = np.log(norm) + np.array(
-            [fam.def_log_density(fam.poisson(), params, y) for y in grid]
+            [fam.def_log_density(fam.PoissonKernel(), params, y) for y in grid]
         )
         assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -113,61 +113,65 @@ class TestNormalizer:
     @pytest.mark.parametrize("mu", [3.0, 12.0, 40.0])
     def test_discrete_pmfs_sum_to_one(self, gamma, mu):
         params = DefParams(theta=np.log(mu), gamma=gamma)
-        _, p = fam.def_pmf(fam.poisson(), params)
+        _, p = fam.def_pmf(fam.PoissonKernel(), params)
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_gaussian_closed_form(self):
         # With gamma = 2 and phi = 1 the DEF is exactly N(theta, 0.5).
         params = DefParams(theta=0.3, gamma=2.0)
         y = np.linspace(-2, 2, 9)
-        got = fam.def_log_density(fam.gaussian(), params, y, normalized=True)
+        got = fam.def_log_density(fam.GaussianKernel(), params, y, normalized=True)
         expected = -0.5 * np.log(2 * np.pi * 0.5) - (y - 0.3) ** 2 / (2 * 0.5)
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_nonconvergent_truncation_raises(self):
         # gamma far below 1 fattens the tail beyond the truncation cap.
         with pytest.raises(NumericError):
-            fam.def_pmf(fam.poisson(), DefParams(theta=np.log(50.0), gamma=0.01))
+            fam.def_pmf(fam.PoissonKernel(), DefParams(theta=np.log(50.0), gamma=0.01))
 
 
 class TestMoments:
     def test_gaussian_standard(self):
-        mean, var = fam.def_moments(fam.gaussian(), DefParams(theta=0.0, gamma=1.0))
+        mean, var = fam.def_moments(fam.GaussianKernel(), DefParams(theta=0.0, gamma=1.0))
         assert (mean, var) == (0.0, 1.0)
 
     def test_binomial_70_half(self):
-        mean, var = fam.def_moments(fam.binomial(70), DefParams(theta=0.0, gamma=1.0))
+        mean, var = fam.def_moments(fam.BinomialKernel(70), DefParams(theta=0.0, gamma=1.0))
         assert mean == pytest.approx(35.0, abs=1e-9)
         assert var == pytest.approx(17.5, abs=1e-9)
 
     def test_poisson_overdispersed_approximation(self):
         # Accuracy bounds follow the DEF moment approximations E[Y] ~ mu,
         # V[Y] ~ mu/gamma; the exact values come from the truncated pmf.
-        mean, var = fam.def_moments(fam.poisson(), DefParams(theta=np.log(40.0), gamma=0.5))
+        mean, var = fam.def_moments(fam.PoissonKernel(),
+                                    DefParams(theta=np.log(40.0), gamma=0.5))
         assert abs(mean - 40.0) / 40.0 < 0.02
         assert abs(var - 80.0) / 80.0 < 0.05
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("mu", [10.0, 25.0, 60.0])
     def test_poisson_mean_stays_near_mu(self, gamma, mu):
-        mean, _ = fam.def_moments(fam.poisson(), DefParams(theta=np.log(mu), gamma=gamma))
+        mean, _ = fam.def_moments(fam.PoissonKernel(),
+                                  DefParams(theta=np.log(mu), gamma=gamma))
         assert abs(mean - mu) / mu < 0.05
 
 
 class TestSampling:
     def test_gaussian_variance(self):
         # Exact law N(1, phi/gamma) with phi=0.64, gamma=4 -> variance 0.16.
-        params = DefParams(theta=1.0, gamma=4.0, phi=0.64)
-        draws = fam.def_sample(fam.gaussian(), params, np.random.default_rng(1), 100_000)
+        draws = fam.def_sample_each(fam.GaussianKernel(), np.full(100_000, 1.0),
+                                    np.full(100_000, 4.0), np.random.default_rng(1),
+                                    phi=0.64)
         se = 0.16 * np.sqrt(2 / (len(draws) - 1))
         assert abs(draws.var(ddof=1) - 0.16) < 3 * se
         assert abs(draws.mean() - 1.0) < 3 * np.sqrt(0.16 / len(draws))
 
     def test_poisson_gamma_one(self):
         params = DefParams(theta=np.log(5.0), gamma=1.0)
-        draws = fam.def_sample(fam.poisson(), params, np.random.default_rng(2), 100_000)
+        draws = fam.def_sample_each(fam.PoissonKernel(), np.full(100_000, np.log(5.0)),
+                                    np.ones(100_000), np.random.default_rng(2))
         assert abs(draws.mean() - 5.0) < 3 * np.sqrt(5.0 / len(draws))
-        grid, p = fam.def_pmf(fam.poisson(), params)
+        grid, p = fam.def_pmf(fam.PoissonKernel(), params)
         m = p @ grid
         m4 = p @ (grid - m) ** 4
         var = p @ (grid - m) ** 2
@@ -178,24 +182,26 @@ class TestSampling:
         # The oracle value is the truncated-pmf variance (close to, but not
         # exactly, b''(theta)/gamma = 10).
         params = DefParams(theta=np.log(5.0), gamma=0.5)
-        grid, p = fam.def_pmf(fam.poisson(), params)
+        grid, p = fam.def_pmf(fam.PoissonKernel(), params)
         m = p @ grid
         var = p @ (grid - m) ** 2
         m4 = p @ (grid - m) ** 4
         assert abs(var - 10.0) / 10.0 < 0.05
-        draws = fam.def_sample(fam.poisson(), params, np.random.default_rng(3), 100_000)
+        draws = fam.def_sample_each(fam.PoissonKernel(), np.full(100_000, np.log(5.0)),
+                                    np.full(100_000, 0.5), np.random.default_rng(3))
         se_var = np.sqrt((m4 - var**2) / len(draws))
         assert abs(draws.var(ddof=1) - var) < 3 * se_var
 
     def test_sampler_deterministic(self):
-        params = DefParams(theta=np.log(7.0), gamma=0.8)
-        a = fam.def_sample(fam.poisson(), params, np.random.default_rng(9), 1000)
-        b = fam.def_sample(fam.poisson(), params, np.random.default_rng(9), 1000)
+        kernel = fam.PoissonKernel()
+        thetas, gammas = np.full(1000, np.log(7.0)), np.full(1000, 0.8)
+        a = fam.def_sample_each(kernel, thetas, gammas, np.random.default_rng(9))
+        b = fam.def_sample_each(kernel, thetas, gammas, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_sample_each_matches_support(self):
         rng = np.random.default_rng(4)
-        kernel = fam.binomial(70)
+        kernel = fam.BinomialKernel(70)
         thetas = rng.uniform(-1, 1, 50)
         gammas = rng.uniform(0.5, 2.0, 50)
         y = fam.def_sample_each(kernel, thetas, gammas, rng)
@@ -237,4 +243,5 @@ class TestSampling:
         thetas[4], gammas[4] = np.log(50.0), 0.01
         named = re.escape(f"theta={np.log(50.0)}, gamma=0.01")
         with pytest.raises(NumericError, match=named):
-            fam.def_sample_each(fam.poisson(), thetas, gammas, np.random.default_rng(0))
+            fam.def_sample_each(fam.PoissonKernel(), thetas, gammas,
+                                np.random.default_rng(0))

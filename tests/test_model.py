@@ -25,13 +25,13 @@ def sample_response(spec, rng):
     return rng.binomial(n, 1.0 / (1.0 + np.exp(-theta))).astype(float)
 
 
-KERNELS = [fam.gaussian(), fam.poisson(), fam.binomial(10)]
+KERNELS = [fam.GaussianKernel(), fam.PoissonKernel(), fam.BinomialKernel(10)]
 
 
 class TestLoglik:
     def test_alpha_zero_reduces_to_ef_kernel(self):
         rng = np.random.default_rng(0)
-        kernel = fam.poisson()
+        kernel = fam.PoissonKernel()
         spec = random_spec(kernel, rng)
         spec = spec.with_coefs(spec.beta, np.zeros_like(spec.alpha))
         y = sample_response(spec, rng)
@@ -41,7 +41,7 @@ class TestLoglik:
 
     def test_single_gaussian_hand_value(self):
         # x = z = (1), beta = alpha = (0), y = 2: every term is zero.
-        spec = GlmSpec(kernel=fam.gaussian(), X=np.array([[1.0]]),
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=np.array([[1.0]]),
                        Z=np.array([[1.0]]), beta=np.array([0.0]),
                        alpha=np.array([0.0]))
         assert loglik(spec, np.array([2.0])) == pytest.approx(0.0, abs=1e-15)
@@ -64,21 +64,21 @@ class TestLoglik:
 
     def test_base_measure_flag(self):
         rng = np.random.default_rng(2)
-        spec = random_spec(fam.poisson(), rng)
+        spec = random_spec(fam.PoissonKernel(), rng)
         y = sample_response(spec, rng)
         diff = loglik(spec, y, include_base_measure=True) - loglik(spec, y)
         expected = float(np.sum(spec.kernel.base_measure(y, spec.phi)))
         assert diff == pytest.approx(expected, abs=1e-10)
 
     def test_support_violation(self):
-        spec = GlmSpec(kernel=fam.poisson(), X=np.ones((1, 1)), Z=np.ones((1, 1)),
+        spec = GlmSpec(kernel=fam.PoissonKernel(), X=np.ones((1, 1)), Z=np.ones((1, 1)),
                        beta=np.zeros(1), alpha=np.zeros(1))
         with pytest.raises(DomainError):
             loglik(spec, np.array([-3.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            GlmSpec(kernel=fam.gaussian(), X=np.ones((3, 2)), Z=np.ones((3, 1)),
+            GlmSpec(kernel=fam.GaussianKernel(), X=np.ones((3, 2)), Z=np.ones((3, 1)),
                     beta=np.zeros(1), alpha=np.zeros(1))
 
 
@@ -94,7 +94,7 @@ def central_diff(func, x, eps=1e-5):
 class TestScore:
     def test_saturated_gaussian_beta_score_is_zero(self):
         rng = np.random.default_rng(3)
-        spec = random_spec(fam.gaussian(), rng)
+        spec = random_spec(fam.GaussianKernel(), rng)
         y = np.asarray(spec.theta)  # b'(theta) = theta = y for every observation
         rep = score(spec, y)
         assert np.max(np.abs(rep.score_beta)) < 1e-12
@@ -142,7 +142,7 @@ class TestScore:
 
     def test_explicit_bb_block_form(self):
         rng = np.random.default_rng(6)
-        spec = random_spec(fam.poisson(), rng)
+        spec = random_spec(fam.PoissonKernel(), rng)
         y = sample_response(spec, rng)
         rep = score(spec, y)
         w = spec.gamma * spec.kernel.b_second(spec.theta) / spec.phi
@@ -165,7 +165,7 @@ class TestFisher:
     def test_gaussian_identity_weights(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(9, 3))
-        spec = GlmSpec(kernel=fam.gaussian(), X=X, Z=np.ones((9, 1)),
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=X, Z=np.ones((9, 1)),
                        beta=rng.normal(size=3), alpha=np.zeros(1))
         i_beta, i_alpha = fisher_blocks(spec)
         assert np.allclose(i_beta, X.T @ X / 9, atol=1e-12)
@@ -174,7 +174,7 @@ class TestFisher:
     def test_hand_computed_value(self):
         # n=2, x=(1,2)', W=diag(1,4) -> (1*1 + 4*4)/2 = 8.5.
         # For the Gaussian kernel W_ii = gamma_i, so set gamma = (1, 4).
-        spec = GlmSpec(kernel=fam.gaussian(), X=np.array([[1.0], [2.0]]),
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=np.array([[1.0], [2.0]]),
                        Z=np.array([[0.0], [1.0]]), beta=np.zeros(1),
                        alpha=np.array([np.log(4.0)]))
         i_beta, _ = fisher_blocks(spec)
@@ -200,7 +200,7 @@ class TestDispersionWeightApproximation:
         x = rng.random(n)
         from dropglm.simlab import f2, g1
 
-        kernel = fam.poisson()
+        kernel = fam.PoissonKernel()
         mu = f2(x)
         gamma = g1(x)
         y = fam.def_sample_each(kernel, np.log(mu), gamma, rng)

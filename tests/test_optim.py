@@ -96,7 +96,7 @@ def quadratic_problem(rng, n=80, d=4):
     y = X @ beta_true + 0.1 * rng.normal(size=n)
     # All-zero dispersion design freezes alpha at 0 (its score vanishes).
     Z = np.zeros((n, 1))
-    spec = GlmSpec(kernel=fam.gaussian(), X=X, Z=Z, beta=np.zeros(d),
+    spec = GlmSpec(kernel=fam.GaussianKernel(), X=X, Z=Z, beta=np.zeros(d),
                    alpha=np.zeros(1))
     return spec, y
 
@@ -118,7 +118,7 @@ class TestFit:
         n = 60
         X = np.column_stack([np.ones(n), rng.random(n)])
         Z = X.copy()
-        spec = GlmSpec(kernel=fam.poisson(), X=X, Z=Z, beta=np.zeros(2),
+        spec = GlmSpec(kernel=fam.PoissonKernel(), X=X, Z=Z, beta=np.zeros(2),
                        alpha=np.zeros(2))
         y = rng.poisson(3.0, n).astype(float)
         config = OptimConfig(batch_size=20, max_iters=3000)
@@ -152,7 +152,7 @@ class TestFit:
         for n, b in ((40, 10), (43, 10)):
             X = rng.normal(size=(n, 3))
             Z = rng.normal(size=(n, 2)) * 0.5
-            spec = GlmSpec(kernel=fam.poisson(), X=X, Z=Z,
+            spec = GlmSpec(kernel=fam.PoissonKernel(), X=X, Z=Z,
                            beta=rng.normal(size=3) * 0.2,
                            alpha=rng.normal(size=2) * 0.2)
             y = rng.poisson(np.exp(np.clip(spec.theta, -3, 3))).astype(float)
@@ -198,7 +198,7 @@ class TestFit:
         # draws is the longer fit's, in the same order.
         rng = np.random.default_rng(14)
         n = 70
-        spec = GlmSpec(kernel=fam.gaussian(), X=rng.normal(size=(n, 4)),
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=rng.normal(size=(n, 4)),
                        Z=rng.normal(size=(n, 2)) * 0.3, beta=np.zeros(4),
                        alpha=np.zeros(2))
         y = spec.X @ rng.normal(size=4) + rng.normal(size=n)
@@ -281,7 +281,7 @@ class TestFit:
         # those rows must be copies, never views of the caller's arrays.
         rng = np.random.default_rng(18)
         n = 47
-        spec = GlmSpec(kernel=fam.poisson(), X=rng.normal(size=(n, 4)),
+        spec = GlmSpec(kernel=fam.PoissonKernel(), X=rng.normal(size=(n, 4)),
                        Z=rng.normal(size=(n, 2)) * 0.3, beta=np.zeros(4),
                        alpha=np.zeros(2))
         y = rng.poisson(3.0, n).astype(float)

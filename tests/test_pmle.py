@@ -66,14 +66,14 @@ class TestPenaltyMatrix:
 class TestObjective:
     def test_zero_lambda_is_negative_loglik(self):
         rng = np.random.default_rng(2)
-        spec = random_spec(fam.poisson(), rng)
+        spec = random_spec(fam.PoissonKernel(), rng)
         y = rng.poisson(2.0, spec.n).astype(float)
         penalty = DiffPenalty(0.0, 0.0, 6, 5)
         assert pmle_objective(spec, y, penalty) == pytest.approx(-loglik(spec, y))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        for kernel in (fam.gaussian(), fam.poisson(), fam.binomial(8)):
+        for kernel in (fam.GaussianKernel(), fam.PoissonKernel(), fam.BinomialKernel(8)):
             spec = random_spec(kernel, rng)
             if kernel.name == "gaussian":
                 y = rng.normal(spec.theta, 1.0)
@@ -104,7 +104,7 @@ class TestPmleFit:
         n = 50
         X = rng.normal(size=(n, 4))
         Z = rng.normal(size=(n, 3)) * 0.3
-        spec = GlmSpec(kernel=fam.gaussian(), X=X, Z=Z, beta=np.zeros(4),
+        spec = GlmSpec(kernel=fam.GaussianKernel(), X=X, Z=Z, beta=np.zeros(4),
                        alpha=np.zeros(3))
         y = rng.normal(X @ np.array([1.0, -0.5, 0.2, 0.0]), 1.0)
         config = OptimConfig(batch_size=20, max_iters=1500)
@@ -130,7 +130,7 @@ class TestPmleFit:
 
     def test_dimension_check(self):
         rng = np.random.default_rng(9)
-        spec = random_spec(fam.gaussian(), rng)
+        spec = random_spec(fam.GaussianKernel(), rng)
         with pytest.raises(ConfigError):
             pmle_fit(spec, np.zeros(spec.n), DiffPenalty(1.0, 1.0, 3, 3),
                      OptimConfig(), np.random.default_rng(0))

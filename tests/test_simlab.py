@@ -17,6 +17,7 @@ from dropglm.simlab import (
     rmse,
     run_scenario,
 )
+from dropglm.model import SplineModel
 from dropglm.optim import OptimConfig
 
 
@@ -100,6 +101,15 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(family="gamma")
 
+    @pytest.mark.parametrize("make", [
+        lambda: ScenarioConfig(family="gaussian", mean_knots=7.9, disp_knots=4),
+        lambda: ScenarioConfig(family="gaussian", disp_knots=3),
+        lambda: SplineModel("gaussian", mean_knots=5.5)])
+    def test_bad_knot_count_raises_on_construction(self, make):
+        # int() once read 7.9 knots as 7 and 5.5 as 5 without a word.
+        with pytest.raises(ConfigError, match="knot count"):
+            make()
+
     def test_rectangles(self):
         assert method_rectangle("bernoulli") == ((0.0, 1.0), (0.0, 1.0))
         assert method_rectangle("gaussian") == ((0.0, 3.0), (0.0, 6.0))
@@ -113,7 +123,7 @@ class TestGenerateDataset:
         # With gamma fixed at 1 the responses are N(f1(x), phi); check the
         # residual variance at the generator level.
         rng = np.random.default_rng(0)
-        kernel = fam.gaussian()
+        kernel = fam.GaussianKernel()
         x = rng.random(20_000)
         y = fam.def_sample_each(kernel, f1(x), np.ones_like(x), rng, phi=0.64)
         resid = y - f1(x)

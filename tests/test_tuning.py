@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dropglm import families as fam
-from dropglm.basis import build_basis, design_matrix
+from dropglm.basis import SplineBasis, design_matrix
 from dropglm.errors import ConfigError, NumericError
 from dropglm.model import GlmSpec
 from dropglm.optim import FitResult, OptimConfig
@@ -22,12 +22,12 @@ FAST = OptimConfig(batch_size=10, max_iters=300)
 def small_problem(seed=0, n=40):
     rng = np.random.default_rng(seed)
     x = rng.random(n)
-    mean_basis = build_basis(0, 1, 6, "natural")
-    disp_basis = build_basis(0, 1, 4, "natural")
+    mean_basis = SplineBasis(0, 1, 6, "natural")
+    disp_basis = SplineBasis(0, 1, 4, "natural")
     X = design_matrix(mean_basis, x)
     Z = design_matrix(disp_basis, x)
     y = rng.normal(np.sin(2 * np.pi * x), 0.7)
-    spec = GlmSpec(kernel=fam.gaussian(), X=X, Z=Z, beta=np.zeros(6),
+    spec = GlmSpec(kernel=fam.GaussianKernel(), X=X, Z=Z, beta=np.zeros(6),
                    alpha=np.zeros(4), phi=0.49)
     return spec, y
 
