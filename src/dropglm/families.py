@@ -42,11 +42,15 @@ class FamilyKernel:
 
     Subclasses provide b, its first three derivatives, the inverse mean map,
     the saturated term ``y*theta(y) - b(theta(y))`` (with the boundary
-    convention ``0*log(0) := 0``) and the base measure ``c(y, phi)``.
+    convention ``0*log(0) := 0``), the base measure ``c(y, phi)`` and the
+    empirical natural parameter that warm-starts a fit.
     """
 
     name: str = "base"
     discrete: bool = False
+    # Bound on the linear predictor theta while fitting: divergent
+    # hyperparameters are expected under random-search CV and must not overflow.
+    theta_clamp: float = 30.0
 
     def b(self, theta):
         raise NotImplementedError
@@ -69,6 +73,10 @@ class FamilyKernel:
 
     def saturated_term(self, y):
         """y*theta(y) - b(theta(y)) evaluated by its boundary limit."""
+        raise NotImplementedError
+
+    def empirical_theta(self, y):
+        """theta(y) kept finite at the edges of the support."""
         raise NotImplementedError
 
     def base_measure(self, y, scale):
@@ -95,6 +103,7 @@ class GaussianKernel(FamilyKernel):
     """b(theta) = theta^2/2, support R.  The DEF is exactly N(theta, phi/gamma)."""
 
     name = "gaussian"
+    theta_clamp = 1e8
 
     def b(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -115,6 +124,9 @@ class GaussianKernel(FamilyKernel):
     def saturated_term(self, y):
         y = np.asarray(y, dtype=float)
         return 0.5 * y**2
+
+    def empirical_theta(self, y):
+        return np.asarray(y, dtype=float)
 
     def base_measure(self, y, scale):
         y = np.asarray(y, dtype=float)
@@ -149,6 +161,9 @@ class PoissonKernel(FamilyKernel):
         y = np.asarray(y, dtype=float)
         # y*log(y) - y with the 0*log(0) := 0 convention at y = 0.
         return np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0)) - y, 0.0)
+
+    def empirical_theta(self, y):
+        return np.log(np.maximum(y, 0.5))
 
     def base_measure(self, y, scale):
         y = np.asarray(y, dtype=float)
@@ -208,6 +223,10 @@ class BinomialKernel(FamilyKernel):
         return np.where(y > 0, y * np.log(ya / n), 0.0) + np.where(
             y < n, (n - y) * np.log(yb / n), 0.0
         )
+
+    def empirical_theta(self, y):
+        n = float(self.trials)
+        return np.log((y + 0.5) / (n - y + 0.5))
 
     def base_measure(self, y, scale):
         y = np.asarray(y, dtype=float)

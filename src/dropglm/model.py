@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import SplineBasis, design_matrix
 from .errors import ConfigError
-from .families import FAMILIES, FamilyKernel, kernel_for
+from .families import FamilyKernel, kernel_for
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,13 @@ class SplineModel:
     boundary: str = "natural"
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        self.kernel()  # checks the family and trials
         if self.boundary not in ("natural", "cyclic"):
             raise ConfigError(f"boundary must be natural|cyclic, got {self.boundary!r}")
         if not 0 < self.phi < np.inf:
             raise ConfigError(f"phi must be finite and positive, got {self.phi}")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ConfigError(f"lo and hi must be finite, got [{self.lo}, {self.hi}]")
-        self.kernel()  # checks trials
         self.bases()  # checks the knot counts and lo < hi
 
     def kernel(self) -> FamilyKernel:

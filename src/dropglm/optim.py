@@ -15,10 +15,10 @@ rows' bits because every entry off the band is +0.0.  Each iteration then
 only takes the next batch's block, evaluates the batch score at the
 perturbed features (equivalently the perturbed coefficients) and applies
 one ADADELTA update, in place, to the joint vector (beta, alpha): the
-recurrences act coordinate by coordinate, so one state gives the numbers of
-separate mean and dispersion states to the bit.  The same engine also runs
-the penalized baseline: quadratic coefficient penalties simply contribute
-their gradient to the score.
+recurrences act coordinate by coordinate, so one pair of averages gives the
+numbers of separate mean and dispersion averages to the bit.  The same
+engine also runs the penalized baseline: quadratic coefficient penalties
+simply contribute their gradient to the score.
 
 There is one loop, and it advances many fits at once: :func:`fit_many` puts
 F fits on a leading fit axis, each naming its training rows of one shared
@@ -51,10 +51,9 @@ from .dropout import NoiseSpec
 from .errors import ConfigError
 from .model import GlmSpec, score_terms
 
-# Safety clamps applied to linear predictors during fitting only; divergent
-# hyperparameters are expected under random-search CV and must not overflow.
+# Safety clamp on the dispersion predictor during fitting only, as the
+# kernel's ``theta_clamp`` on the mean predictor.
 _ETA_CLAMP = 15.0
-_THETA_CLAMPS = {"gaussian": 1e8, "poisson": 30.0, "binomial": 30.0}
 # Below this, a sum of squared gradients over fits bounds each fit's own
 # g'g far from overflow, whatever the order of summation.
 _CLEAR_SQUARES = 1e300
@@ -90,56 +89,36 @@ class FitResult:
         return not finite or self.rejected_steps == self.n_iter
 
 
-@dataclass
-class AdadeltaState:
-    avg_sq_grad: np.ndarray
-    avg_sq_step: np.ndarray
-
-    @staticmethod
-    def zeros(dim: int) -> "AdadeltaState":
-        return AdadeltaState(np.zeros(dim), np.zeros(dim))
-
-
-def adadelta_step(state: AdadeltaState, grad: np.ndarray, rho: float,
-                  eps: float):
-    """One ADADELTA recurrence; returns (step along grad, state).
+def adadelta_step(avg_sq_grad: np.ndarray, avg_sq_step: np.ndarray,
+                  grad: np.ndarray) -> np.ndarray:
+    """One ADADELTA recurrence with ``RHO`` and ``EPS``; returns the step
+    along ``grad`` and updates the two averages in place.
 
     E[g^2] <- rho E[g^2] + (1-rho) g^2
     step    = sqrt((E[s^2] + eps) / (E[g^2] + eps)) * grad
     E[s^2] <- rho E[s^2] + (1-rho) step^2
-
-    ``state``'s two arrays are updated in place, and the state returned is
-    the state given.
     """
-    avg_sq_grad, avg_sq_step = state.avg_sq_grad, state.avg_sq_step
     if avg_sq_grad.shape != grad.shape:
         raise ConfigError("accumulator and gradient lengths differ")
-    step = avg_sq_step + eps
+    step = avg_sq_step + EPS
     sq = grad * grad
-    sq *= 1.0 - rho
-    avg_sq_grad *= rho
+    sq *= 1.0 - RHO
+    avg_sq_grad *= RHO
     avg_sq_grad += sq
-    np.add(avg_sq_grad, eps, out=sq)
+    np.add(avg_sq_grad, EPS, out=sq)
     step /= sq
     np.sqrt(step, out=step)
     step *= grad
     np.multiply(step, step, out=sq)
-    sq *= 1.0 - rho
-    avg_sq_step *= rho
+    sq *= 1.0 - RHO
+    avg_sq_step *= RHO
     avg_sq_step += sq
-    return step, state
+    return step
 
 
 def warm_start_beta(spec: GlmSpec, y) -> np.ndarray:
     """Ridge-stabilized least squares of the link-transformed response."""
-    kernel = spec.kernel
-    if kernel.name == "gaussian":
-        t = np.asarray(y, dtype=float)
-    elif kernel.name == "poisson":
-        t = np.log(np.maximum(y, 0.5))
-    else:
-        n = float(kernel.trials)
-        t = np.log((y + 0.5) / (n - y + 0.5))
+    t = spec.kernel.empirical_theta(y)
     X = spec.X
     ridge = 1e-6 * X.shape[0]
     return np.linalg.solve(X.T @ X + ridge * np.eye(X.shape[1]), X.T @ t)
@@ -238,8 +217,9 @@ def lockstep_floats(spec: GlmSpec, n: int, config: OptimConfig) -> int:
     ``n`` rows of ``spec``, whose designs have dim = p + q columns and noise
     bands of widths w_X and w_Z:
 
-    * its chunk blocks, one row of ``dim + 2`` (design, response and
-      saturated term) per batch row of a chunk;
+    * its chunk blocks and offsets, ``dim + 2 + w_X + w_Z`` (design,
+      response, saturated term and a noisy side's band position offsets)
+      per batch row of a chunk;
     * the epoch's row indices and noise blocks, ``1 + w_X + w_Z`` per batch
       row of an epoch;
     * the transients of a noisy side's chunk, three of ``max(w_X, w_Z)``
@@ -256,7 +236,7 @@ def lockstep_floats(spec: GlmSpec, n: int, config: OptimConfig) -> int:
     chunk_rows = min(per_epoch, EPOCH_CHUNK) * config.batch_size
     widths = noise_band(spec.X).shape[1], noise_band(spec.Z).shape[1]
     dim = spec.X.shape[1] + spec.Z.shape[1]
-    return (chunk_rows * (dim + 2 + 3 * max(widths))
+    return (chunk_rows * (dim + 2 + sum(widths) + 3 * max(widths))
             + per_epoch * config.batch_size * (1 + sum(widths)) + 5 * dim)
 
 
@@ -272,15 +252,15 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
     p, q = X.shape[1], Z.shape[1]
     phi = spec.phi
     sat = kernel.saturated_term(y)
-    theta_clamp = _THETA_CLAMPS[kernel.name]
+    theta_clamp = kernel.theta_clamp
     max_iters = config.max_iters
 
-    # One vector w = [beta; alpha] per fit, and one ADADELTA state over all.
+    # One vector w = [beta; alpha] per fit, and ADADELTA's two averages.
     w = np.zeros((F, p + q))
     for s, f in enumerate(fits):
         w[s, :p] = warm_start_beta(spec.rows(f.rows), y[f.rows])
     beta, alpha = w[:, :p, None], w[:, p:, None]
-    state = AdadeltaState.zeros(w.shape)
+    avg_sq_grad, avg_sq_step = np.zeros(w.shape), np.zeros(w.shape)
     grad = np.empty(w.shape)
     grad_beta, grad_alpha = grad[:, :p, None], grad[:, p:, None]
     grad_flat = grad.reshape(-1)
@@ -308,12 +288,13 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
     # bit), and builds its chunk as zeros with the noisy band values
     # scattered in: the design's own bits, as every entry off the band is
     # +0.0.  Flat positions in the raveled chunk are band columns plus the
-    # row's offset.
+    # row's offset, held at full shape so that adding it does not broadcast.
     dense, sides = [], []
     for side, D, block, (band, vals) in (("mean", X, Xe, bands[0]),
                                          ("disp", Z, Ze, bands[1])):
         if any(f.noise.param(side) > 0 for f in fits):
-            offset = np.arange(chunk * F * B).reshape(chunk, F, B, 1) * D.shape[1]
+            offset = np.repeat(np.arange(chunk * F * B) * D.shape[1],
+                               band.shape[1]).reshape(chunk, F, B, -1)
             noise = np.ones((F, per_epoch, B, band.shape[1]))
             sides.append((side, block, block.reshape(-1), band, vals, offset, noise))
         else:
@@ -380,22 +361,19 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
             grad_alpha -= pen_alpha
 
         # Each fit's own g'g (also rejects a finite gradient whose square
-        # overflows in ADADELTA); a rejected fit's w and state stay as they
-        # are.  A sum of squares over all fits far below overflow clears
+        # overflows in ADADELTA); a rejected fit's w and averages stay as
+        # they are.  A sum of squares over all fits far below overflow clears
         # every fit at once.
         if grad_flat @ grad_flat < _CLEAR_SQUARES:
-            step, _ = adadelta_step(state, grad, RHO, EPS)
-            w += step
+            w += adadelta_step(avg_sq_grad, avg_sq_step, grad)
         else:
             ok = np.isfinite(np.matmul(sq_left, sq_right)[:, 0, 0])
             rejected += ~ok
             if ok.any():
                 idx = np.flatnonzero(ok)
-                part = AdadeltaState(state.avg_sq_grad[idx], state.avg_sq_step[idx])
-                step, _ = adadelta_step(part, grad[idx], RHO, EPS)
-                state.avg_sq_grad[idx] = part.avg_sq_grad
-                state.avg_sq_step[idx] = part.avg_sq_step
-                w[idx] += step
+                sq_grad, sq_step = avg_sq_grad[idx], avg_sq_step[idx]
+                w[idx] += adadelta_step(sq_grad, sq_step, grad[idx])
+                avg_sq_grad[idx], avg_sq_step[idx] = sq_grad, sq_step
 
         if it > first:
             total += w

@@ -43,9 +43,9 @@ METHODS = ("bernoulli", "gaussian", "pmle")
 PMLE_WEIGHT_UNIT = 50_000.0
 
 # Floats that one lockstep group of CV fits may hold, each fit holding
-# optim.lockstep_floats: 3 MB, 14 traffic-sized fits (1,767 rows, 24/12
-# cyclic knots, 26,100 floats each), so a traffic CV of 2 x 5 fits runs as
-# one group, or 33 desk-sized ones (167 rows, 30/20 knots, 11,200 floats).
+# optim.lockstep_floats: 3 MB, 13 traffic-sized fits (1,767 rows, 24/12
+# cyclic knots, 27,780 floats each), so a traffic CV of 2 x 5 fits runs as
+# one group, or 30 desk-sized ones (167 rows, 30/20 knots, 12,400 floats).
 # With Bernoulli noise on both sides, a traffic-sized fit costs 26 us per
 # iteration alone, 8 us in a group of 5, 6 us in one of 10 and 5.7 us in
 # one of 14 (2-core host, one BLAS thread).

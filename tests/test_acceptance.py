@@ -27,7 +27,7 @@ from dropglm.dropout import (
 )
 from dropglm.families import DefParams
 from dropglm.model import GlmSpec, fisher_blocks, loglik, score
-from dropglm.optim import AdadeltaState, OptimConfig, adadelta_step
+from dropglm.optim import OptimConfig, adadelta_step
 from dropglm.pmle import DiffPenalty, pmle_objective, pmle_objective_grad, second_difference_penalty
 from dropglm.simlab import ScenarioConfig, run_scenario
 
@@ -332,9 +332,9 @@ def test_criterion_9_adadelta_reference():
     rng = np.random.default_rng(109)
     grads = [rng.normal(size=6) for _ in range(10)]
     expected = reference(grads, 0.95, 1e-6)
-    state = AdadeltaState.zeros(6)
+    avg_sq_grad, avg_sq_step = np.zeros(6), np.zeros(6)
     for g, want in zip(grads, expected):
-        step, state = adadelta_step(state, g, 0.95, 1e-6)
+        step = adadelta_step(avg_sq_grad, avg_sq_step, g)
         assert np.max(np.abs(step - want)) < 1e-12
     report("criterion 9 (ADADELTA reference recurrence)", True)
 

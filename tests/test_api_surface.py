@@ -86,3 +86,12 @@ def test_every_public_name_has_a_caller_or_a_listed_reference():
 
 def test_every_listed_reference_still_lacks_a_caller():
     assert sorted(set(REFERENCES) - uncalled()) == []
+
+
+def test_only_families_reads_a_kernel_name():
+    # Each family decision lives on its kernel: no other module branches on,
+    # or looks up by, an attribute called ``name``.
+    readers = sorted(path.name for path in SOURCES if path.name != "families.py"
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr == "name")
+    assert readers == []

@@ -8,7 +8,7 @@ from dropglm import optim
 from dropglm.dropout import NoiseSpec
 from dropglm.errors import ConfigError
 from dropglm.model import GlmSpec, SplineModel, loglik, score, score_terms
-from dropglm.optim import AdadeltaState, OptimConfig, adadelta_step, fit
+from dropglm.optim import OptimConfig, adadelta_step, fit
 from dropglm.rngs import substream
 from dropglm.simlab import ScenarioConfig, generate_dataset
 from dropglm.tuning import fit_method
@@ -31,43 +31,48 @@ def reference_adadelta(grads, rho, eps):
 
 
 class TestAdadelta:
+    # The recurrence runs with optim.RHO = 0.95 and optim.EPS = 1e-6.
     def test_zero_gradient_zero_update(self):
-        state = AdadeltaState(np.array([0.4]), np.array([0.2]))
-        step, new = adadelta_step(state, np.zeros(1), 0.95, 1e-6)
+        avg_sq_grad, avg_sq_step = np.array([0.4]), np.array([0.2])
+        step = adadelta_step(avg_sq_grad, avg_sq_step, np.zeros(1))
         assert step[0] == 0.0
-        assert new.avg_sq_grad[0] == pytest.approx(0.95 * 0.4)
-        assert new.avg_sq_step[0] == pytest.approx(0.95 * 0.2)
+        assert avg_sq_grad[0] == pytest.approx(0.95 * 0.4)
+        assert avg_sq_step[0] == pytest.approx(0.95 * 0.2)
 
     def test_first_step_magnitude(self):
         # Fresh accumulators, g = 1: E[g^2] = 0.05, |step| = sqrt(1e-6/0.050001).
-        step, new = adadelta_step(AdadeltaState.zeros(1), np.ones(1), 0.95, 1e-6)
-        assert new.avg_sq_grad[0] == pytest.approx(0.05)
+        avg_sq_grad = np.zeros(1)
+        step = adadelta_step(avg_sq_grad, np.zeros(1), np.ones(1))
+        assert avg_sq_grad[0] == pytest.approx(0.05)
         assert step[0] == pytest.approx(np.sqrt(1e-6 / 0.050001), rel=1e-10)
 
     def test_matches_reference_over_scripted_sequence(self):
         rng = np.random.default_rng(0)
         grads = rng.normal(size=(10, 4))
         expected = reference_adadelta(grads.tolist(), 0.95, 1e-6)
-        state = AdadeltaState.zeros(4)
+        avg_sq_grad, avg_sq_step = np.zeros(4), np.zeros(4)
         for i, g in enumerate(grads):
-            step, state = adadelta_step(state, g, 0.95, 1e-6)
+            step = adadelta_step(avg_sq_grad, avg_sq_step, g)
             assert np.max(np.abs(step - expected[i])) < 1e-12
 
     def test_updates_the_given_state_in_place(self):
+        # The two given arrays carry the averages from step to step.
         rng = np.random.default_rng(1)
         grads = rng.normal(size=(50, 3))
-        expected = reference_adadelta(grads.tolist(), 0.9, 1e-6)
-        state = AdadeltaState.zeros(3)
-        avg_sq_grad, avg_sq_step = state.avg_sq_grad, state.avg_sq_step
-        for i, g in enumerate(grads):
-            step, returned = adadelta_step(state, g, 0.9, 1e-6)
-            assert returned is state
-            assert state.avg_sq_grad is avg_sq_grad and state.avg_sq_step is avg_sq_step
-            assert np.max(np.abs(step - expected[i])) < 1e-12
+        expected = reference_adadelta(grads.tolist(), 0.95, 1e-6)
+        avg_sq_grad, avg_sq_step = np.zeros(3), np.zeros(3)
+        eg, es = np.zeros(3), np.zeros(3)
+        for g, want in zip(grads, expected):
+            step = adadelta_step(avg_sq_grad, avg_sq_step, g)
+            eg = 0.95 * eg + 0.05 * g * g
+            es = 0.95 * es + 0.05 * want * want
+            assert np.max(np.abs(step - want)) < 1e-12
+            assert np.max(np.abs(avg_sq_grad - eg)) < 1e-12
+            assert np.max(np.abs(avg_sq_step - es)) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
-            adadelta_step(AdadeltaState.zeros(2), np.zeros(3), 0.95, 1e-6)
+            adadelta_step(np.zeros(2), np.zeros(2), np.zeros(3))
 
 
 class TestEpochBatches:
@@ -179,9 +184,9 @@ class TestFit:
         spec = scenario.model.spec(x)
         grads = []
 
-        def spy(state, grad, rho, eps):
+        def spy(avg_sq_grad, avg_sq_step, grad):
             grads.append(grad.copy())
-            return adadelta_step(state, grad, rho, eps)
+            return adadelta_step(avg_sq_grad, avg_sq_step, grad)
 
         monkeypatch.setattr(optim, "adadelta_step", spy)
         fit(spec, y, NoiseSpec.none(), OptimConfig(batch_size=spec.n, max_iters=1),
@@ -301,10 +306,10 @@ class TestFit:
         spec, y = quadratic_problem(rng, n=50)
         steps = []
 
-        def spy(state, grad, rho, eps):
-            step, state = adadelta_step(state, grad, rho, eps)
+        def spy(avg_sq_grad, avg_sq_step, grad):
+            step = adadelta_step(avg_sq_grad, avg_sq_step, grad)
             steps.append(np.array(step).reshape(-1))
-            return step, state
+            return step
 
         monkeypatch.setattr(optim, "adadelta_step", spy)
         config = OptimConfig(batch_size=10, max_iters=max_iters, avg_window=avg_window)
@@ -363,6 +368,27 @@ class TestFit:
             values.append(loglik(spec.with_coefs(res.beta, res.alpha), y))
         values = np.array(values)
         assert np.diff(values).min() > -1e-3 * (1 + np.abs(values).max())
+
+
+class TestWarmStart:
+    # The warm start regresses on theta(y) kept finite at the edges of the
+    # support: y = 0 for dpoisson, y = 0 and y = trials for dbinomial.
+    Y = np.array([0.0, 9.0, 4.0, 1.0, 0.0, 9.0])
+
+    def test_empirical_theta_of_each_kernel(self):
+        y = self.Y
+        assert np.array_equal(fam.GaussianKernel().empirical_theta(y), y)
+        assert np.array_equal(fam.PoissonKernel().empirical_theta(y),
+                              np.log(np.maximum(y, 0.5)))
+        assert np.array_equal(fam.BinomialKernel(9).empirical_theta(y),
+                              np.log((y + 0.5) / (9.0 - y + 0.5)))
+
+    @pytest.mark.parametrize("family", ["dpoisson", "dbinomial"])
+    def test_finite_at_the_edges_of_the_support(self, family):
+        spec = SplineModel(family, trials=9, mean_knots=6, disp_knots=4).spec(
+            np.linspace(0.0, 1.0, 60))
+        beta = optim.warm_start_beta(spec, np.tile(self.Y, 10))
+        assert beta.shape == (6,) and np.all(np.isfinite(beta))
 
 
 class TestNoiseBand:
@@ -544,6 +570,27 @@ def test_mixed_noise_group_equals_each_fit_alone(family):
     for f, result in enumerate(results):
         alone, = optim.fit_many(spec, y, [rows[f]], [noises[f]], config,
                                 [substream(7, "mixed", f)], [None])
+        assert _fit_digest(result) == _fit_digest(alone)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_partly_rejecting_group_equals_each_fit_alone():
+    # Dispersion noise wide enough to reject some of a fit's steps, or all
+    # but one, shares a group with a fit that rejects none: the steps of a
+    # group iteration that rejects only some fits update only those fits'
+    # ADADELTA averages.
+    scenario = ScenarioConfig(family="gaussian", n=60, mean_knots=10, disp_knots=8)
+    x, y = generate_dataset(scenario, 0)
+    spec = scenario.model.spec(x)
+    noises = [NoiseSpec.gaussian(0.4, 0.3), NoiseSpec.gaussian(0.0, 1e146),
+              NoiseSpec.gaussian(0.0, 1e149)]
+    config = OptimConfig(**PIN_OPTIM)
+    results = optim.fit_many(spec, y, [np.arange(spec.n)] * 3, noises, config,
+                             [substream(7, "partial", f) for f in range(3)], [None] * 3)
+    rejected = [r.rejected_steps for r in results]
+    assert rejected[0] == 0 and 0 < rejected[1] < rejected[2] < config.max_iters
+    for f, result in enumerate(results):
+        alone = fit(spec, y, noises[f], config, substream(7, "partial", f))
         assert _fit_digest(result) == _fit_digest(alone)
 
 

@@ -273,7 +273,7 @@ class TestLockstepCv:
         assert {len(r) // 10 for r in rows} == {2, 3}
         assert_each_fit_as_alone(spec, y, "gaussian", plan, config, res, calls)
 
-    @pytest.mark.parametrize("budget", [1, 3000])
+    @pytest.mark.parametrize("budget", [1, 3200])
     def test_groups_split_by_the_budget(self, monkeypatch, budget):
         from dropglm import tuning
 
@@ -285,7 +285,7 @@ class TestLockstepCv:
         split = random_search_cv(spec, y, "gaussian", plan, LOCKSTEP)
         sizes = [len(rows) for _, _, rows, _ in calls]
         assert sum(sizes) == 9 and len(sizes) > 1
-        # A fit on 40 rows holds 1,320 floats (optim.lockstep_floats).
+        # A fit on 40 rows holds 1,560 floats (optim.lockstep_floats).
         assert sizes == ([1] * 9 if budget == 1 else [2, 2, 2, 2, 1])
         assert np.array_equal(split.fold_logliks, whole.fold_logliks)
         assert_each_fit_as_alone(spec, y, "gaussian", plan, LOCKSTEP, split, calls)
