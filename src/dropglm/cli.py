@@ -6,11 +6,12 @@ dataset file), ``fit`` (one fit at fixed hyperparameters), ``traffic``
 (hourly traffic snapshot modelling) and ``rerun`` (re-execute a previous
 run from its manifest).
 
-Each command's run type (``COMMANDS``) computes its output tables, and
-``_execute`` alone writes them with a ``manifest.json`` into ``--out``; a run
-that fails leaves no ``--out`` behind.  Rerunning from the manifest
-reproduces every output CSV byte for byte.  Exit codes: 0 success,
-2 configuration error, 3 data error, 4 numeric failure.
+Each command turns its flags into its manifest config (``rerun`` reads it),
+``_execute`` alone builds the run type (``COMMANDS``) from it and writes the
+run's output tables with a ``manifest.json`` into ``--out``; a run that fails
+leaves no ``--out`` behind.  Rerunning reproduces every output CSV byte for
+byte.  Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .runio import (
     config_from_dict,
     load_json_config,
     read_rows,
-    scenario_config_from_dict,
     sha256_file,
     write_csv,
     write_manifest,
@@ -94,6 +94,8 @@ def _read_xy(path):
     header, *rows = read_rows(path)
     if header != ["x", "y"]:
         raise DataError(f"{path}: expected header x,y, got {header}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     try:  # unpacking rejects a row with more or fewer cells than the header
         x = np.array([_number(v) for v, _ in rows])
         y = np.array([_number(v) for _, v in rows])
@@ -131,10 +133,10 @@ def _summary_rows(result_rows):
 
 
 # -------------------------------------------------------------------- runs
-# Each command's manifest config: `cmd_*` builds it from the flags, `rerun`
-# from the manifest with `config_from_dict`.  `tables()` computes the run's
-# output tables, {file name: (header, rows)} in output order, and touches no
-# file; `_execute` writes them.  `seed` is the manifest seed.
+# Each command's manifest config, built only by `_execute`, with
+# `config_from_dict`.  `tables()` computes the run's output tables, {file
+# name: (header, rows)} in output order, and touches no file; `_execute`
+# writes them.  `seed` is the manifest seed.
 
 class _Run:
     """Seeds and replicate indices, where a run has them, are nonnegative."""
@@ -287,9 +289,13 @@ COMMANDS = {"simulate": SimulateRun, "scenario": ScenarioRun, "cv": CvRun,
             "fit": FitRun, "traffic": TrafficRun}
 
 
-def _execute(command: str, run, out_dir) -> int:
-    """Create ``out_dir``, compute the run's tables and write them with the
-    manifest.  A run that fails leaves no directory this call created."""
+def _execute(command: str, config, out_dir, context: str | None = None) -> int:
+    """Build the run from its manifest ``config``, create ``out_dir``, compute
+    the run's tables and write them with the manifest.  A run that fails
+    leaves no file this call wrote and no directory it created."""
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise ConfigError(f"manifest names unknown command {command!r}")
+    run = config_from_dict(COMMANDS[command], config, context or f"{command} config")
     out = Path(out_dir)
     created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
@@ -302,9 +308,22 @@ def _execute(command: str, run, out_dir) -> int:
         for d in created:
             d.rmdir()
         raise
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
-    write_manifest(out, command, dataclasses.asdict(run), run.seed, list(tables))
+    written = []  # each file this call opens for writing, in order
+    try:
+        for name, (header, rows) in tables.items():
+            written.append(out / name)
+            write_csv(out / name, header, rows)
+        written.append(out / MANIFEST_NAME)
+        write_manifest(out, command, dataclasses.asdict(run), run.seed, list(tables))
+    except OSError as exc:
+        failed = written.pop()
+        if exc.filename is None:  # opened, so truncated, before the write failed
+            written.append(failed)
+        for path in written:
+            path.unlink()
+        for d in created:
+            d.rmdir()
+        raise ConfigError(f"cannot write output {failed}: {exc.strerror}") from exc
     for name in [*tables, MANIFEST_NAME]:
         print(out / name)
     return 0
@@ -312,32 +331,30 @@ def _execute(command: str, run, out_dir) -> int:
 
 # ------------------------------------------------------------ CLI commands
 
-def _scenario_from_args(args):
+def _scenario(args) -> dict:
     raw = load_json_config(args.config)
-    if args.seed is not None:
-        raw = dict(raw, seed=args.seed)
-    return scenario_config_from_dict(raw)
+    return raw if args.seed is None else dict(raw, seed=args.seed)
 
 
 def cmd_simulate(args) -> int:
-    return _execute("simulate", SimulateRun(_scenario_from_args(args), args.replicate),
+    return _execute("simulate", {"scenario": _scenario(args), "replicate": args.replicate},
                     args.out)
 
 
 def cmd_scenario(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    return _execute("scenario", ScenarioRun(_scenario_from_args(args), methods), args.out)
+    return _execute("scenario", {"scenario": _scenario(args), "methods": methods}, args.out)
 
 
-def _model_run(cls, args, **flags):
-    model = config_from_dict(ModelConfig, load_json_config(args.config), "model config")
-    return cls(model=model, data=str(args.data), data_sha256=_input_digest(args.data),
-               method=args.method, seed=args.seed, **flags)
+def _model_config(args, **flags) -> dict:
+    return {"model": load_json_config(args.config), "data": str(args.data),
+            "data_sha256": _input_digest(args.data), "method": args.method,
+            "seed": args.seed, **flags}
 
 
 def cmd_cv(args) -> int:
-    run = _model_run(CvRun, args, samples=args.samples, folds=args.folds)
-    return _execute("cv", run, args.out)
+    return _execute("cv", _model_config(args, samples=args.samples, folds=args.folds),
+                    args.out)
 
 
 def cmd_fit(args) -> int:
@@ -345,7 +362,7 @@ def cmd_fit(args) -> int:
         p1, p2 = (float(v) for v in args.params.split(","))
     except ValueError as exc:
         raise ConfigError(f"--params must be 'p1,p2', got {args.params!r}") from exc
-    return _execute("fit", _model_run(FitRun, args, params=(p1, p2)), args.out)
+    return _execute("fit", _model_config(args, params=[p1, p2]), args.out)
 
 
 def cmd_traffic(args) -> int:
@@ -353,23 +370,18 @@ def cmd_traffic(args) -> int:
     unknown = sorted(set(raw) - {"optim"})
     if unknown:
         raise ConfigError(f"{args.config}: unknown keys {unknown}; allowed: ['optim']")
-    run = TrafficRun(
-        data=str(args.data), data_sha256=_input_digest(args.data), sensor=args.sensor,
-        direction=args.direction, noise=args.noise, samples=args.samples,
-        folds=args.folds, seed=args.seed, summer_2019=args.summer_2019,
-        mean_knots=args.mean_knots, disp_knots=args.disp_knots,
-        optim=config_from_dict(OptimConfig, raw.get("optim", {}), "optim"))
-    return _execute("traffic", run, args.out)
+    return _execute("traffic", {
+        "data": str(args.data), "data_sha256": _input_digest(args.data),
+        "sensor": args.sensor, "direction": args.direction, "noise": args.noise,
+        "samples": args.samples, "folds": args.folds, "seed": args.seed,
+        "summer_2019": args.summer_2019, "mean_knots": args.mean_knots,
+        "disp_knots": args.disp_knots, "optim": raw.get("optim", {})}, args.out)
 
 
 def cmd_rerun(args) -> int:
     manifest = load_json_config(args.manifest)
-    command = manifest.get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"manifest names unknown command {command!r}")
-    run = config_from_dict(COMMANDS[command], manifest.get("config"),
-                           f"{args.manifest}: config")
-    return _execute(command, run, args.out)
+    return _execute(manifest.get("command"), manifest.get("config"), args.out,
+                    f"{args.manifest}: config")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1016,3 +1016,93 @@ class TestCsvInput:
                 if "csv" in names:
                     importers.add(path.stem)
         assert importers == {"runio"}
+
+
+class TestOneRunPath:
+    """Every command builds its run the way ``rerun`` does: the flags become
+    the manifest config, and ``cli._execute`` alone builds the run from it."""
+
+    def test_only_execute_builds_a_run(self):
+        import ast
+
+        from dropglm import cli
+
+        constructors = ({cls.__name__ for cls in cli.COMMANDS.values()}
+                        | {"ModelConfig", "ScenarioConfig", "OptimConfig"})
+        callers = {}  # callee name -> names of the functions that call it
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        callers.setdefault(callee, set()).add(func.name)
+        assert callers.get("config_from_dict") == {"_execute"}
+        assert {name: callers[name] for name in constructors & set(callers)} == {}
+
+    def test_unwritable_output_exits_2_and_leaves_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", scenario_payload(
+            n=40, mean_knots=6, disp_knots=4, replicates=1, cv_samples=1, cv_folds=2,
+            optim={"batch_size": 10, "max_iters": 20, "avg_window": 10}))
+        out = tmp_path / "o"
+        (out / "summary.csv").mkdir(parents=True)
+        (out / "summary.csv" / "keep.txt").write_text("kept")
+        assert run_cli("scenario", "--config", cfg, "--methods", "bernoulli",
+                       "--out", str(out)) == 2
+        assert str(out / "summary.csv") in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+        assert [p.name for p in (out / "summary.csv").iterdir()] == ["keep.txt"]
+        assert (out / "summary.csv" / "keep.txt").read_text() == "kept"
+
+    def test_write_failing_midway_leaves_no_out(self, tmp_path, capsys, monkeypatch):
+        # A write that fails after its open (a full disk) leaves a truncated
+        # file, which is this run's and goes too.
+        import errno
+        import os
+
+        from dropglm import cli as cli_mod
+
+        def full_disk(out_dir, *args):
+            (Path(out_dir) / "manifest.json").write_text("{")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli_mod, "write_manifest", full_disk)
+        cfg = write_config(tmp_path / "cfg.json", scenario_payload(n=40))
+        out = tmp_path / "new" / "o"
+        assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 2
+        assert str(out / "manifest.json") in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    def test_header_only_data_exits_3(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text("# manifest: manifest.json\nx,y\n")
+        flags = (["--samples", "2", "--folds", "2"] if command == "cv"
+                 else ["--params", "0.1,0.1"])
+        out = tmp_path / "o"
+        assert run_cli(command, "--data", str(data), "--config", small_model(tmp_path),
+                       "--method", "bernoulli", *flags, "--out", str(out)) == 3
+        assert f"{data}: no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["fit"], {"fit": 1}, None, "lasso"])
+    def test_rerun_of_unknown_command_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "manifest.json",
+                            {"command": command, "config": {}})
+        out = tmp_path / "o"
+        assert run_cli("rerun", path, "--out", str(out)) == 2
+        assert f"unknown command {command!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    def test_missing_data_is_found_before_a_bad_model_value(self, tmp_path, capsys,
+                                                            command):
+        # The data digest is taken while the config is built, before the
+        # model config is checked.
+        model = write_config(tmp_path / "model.json",
+                             {"family": "weibull", "optim": LEAN_OPTIM})
+        flags = ["--params", "0.1,0.1"] if command == "fit" else []
+        assert run_cli(command, "--data", str(tmp_path / "absent.csv"), "--config", model,
+                       "--method", "bernoulli", *flags,
+                       "--out", str(tmp_path / "o")) == 3
+        assert "absent.csv" in capsys.readouterr().err

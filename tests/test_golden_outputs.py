@@ -188,3 +188,13 @@ def test_written_manifest_reruns_to_pinned_outputs(outputs, tmp_path, name):
               if key.startswith(f"{name}/")}
     assert {p.name: sha256_file(p) for p in again.glob("*.csv")} == pinned
     assert load_json_config(again / "manifest.json")["config"] == config
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_fresh_run_writes_its_pinned_config(outputs, name):
+    # What the flags build: command, seed and config as WRITTEN pins them.
+    manifest = load_json_config(outputs / name / "manifest.json")
+    config = manifest["config"]
+    if "data" in config:
+        config = config | {"data": Path(config["data"]).relative_to(outputs).as_posix()}
+    assert (manifest["command"], manifest["seed"], config) == WRITTEN[name]
