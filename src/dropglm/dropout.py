@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import GlmSpec, fisher_weights, loglik_terms, score_terms
+from .families import loglik_terms
+from .model import GlmSpec, fisher_weights, score_terms
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ dispersion parameter ``gamma > 0``:
 
 where ``theta(y)`` is the saturated natural parameter and ``C`` is the exact
 normalizing constant.  ``gamma < 1`` models overdispersion, ``gamma > 1``
-underdispersion.  Likelihood work elsewhere in the package uses the ``C = 1``
-convention; the exact ``C`` is computed here for the verification suite.
+underdispersion.  :func:`loglik_terms` is the one evaluation of this term
+(``C = 1``, no ``c(y, phi)``), read by the likelihood, the dropout oracles,
+the sampling tables and :func:`def_log_density`.  The exact ``C`` is
+computed here for the tables and the verification suite.
 """
 
 from __future__ import annotations
@@ -259,14 +261,19 @@ class DefParams:
             raise DomainError(f"phi must be finite and positive, got {self.phi}")
 
 
-def _unnormalized_logpmf(kernel, theta, gamma, scale, y):
-    """log f with C = 1; theta, gamma and y broadcast against each other."""
-    return (
-        0.5 * np.log(gamma)
-        + gamma * (y * theta - kernel.b(theta)) / scale
-        + (1.0 - gamma) * kernel.saturated_term(y) / scale
-        + kernel.base_measure(y, scale)
-    )
+def loglik_terms(kernel: FamilyKernel, theta, eta, y, scale) -> np.ndarray:
+    """Per-observation l_i at mean predictor theta and eta = log gamma
+    (C = 1 convention), with scale = phi; broadcasts over arrays."""
+    sat = kernel.saturated_term(y) / scale
+    # gamma can overflow to inf under extreme alpha; 0 * inf is treated as 0
+    # so that a saturated observation does not poison the total with NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = (y * theta - kernel.b(theta)) / scale - sat
+        term = np.where(gap == 0.0, 0.0, np.exp(eta) * gap)
+    # 0.5 * eta + term + sat to the bit, in place: no fresh table-sized array.
+    term += 0.5 * eta
+    term += sat
+    return term
 
 
 def _discrete_table(kernel, thetas, gammas, scale):
@@ -274,9 +281,12 @@ def _discrete_table(kernel, thetas, gammas, scale):
     thetas = np.asarray(thetas, dtype=float)[:, None]
     gammas = np.asarray(gammas, dtype=float)[:, None]
     grid = kernel.support_grid(float(np.max(kernel.b_prime(thetas))))
-    logq = _unnormalized_logpmf(kernel, thetas, gammas, scale, grid)
+    # One (rows x support) buffer, updated in place, as in loglik_terms.
+    logq = loglik_terms(kernel, thetas, np.log(gammas), grid, scale)
+    logq += kernel.base_measure(grid, scale)
     m = logq.max(axis=1, keepdims=True)
-    q = np.exp(logq - m)
+    logq -= m
+    q = np.exp(logq, out=logq)
     total = q.sum(axis=1, keepdims=True)
 
     if kernel.name == "poisson":
@@ -294,7 +304,8 @@ def _discrete_table(kernel, thetas, gammas, scale):
                 f"{ratio[i]:.3g}, tail mass {tail[i]:.3g} against {TAIL_TOL:.3g} "
                 f"(theta={float(thetas[i, 0])}, gamma={float(gammas[i, 0])})"
             )
-    return grid, q / total, 1.0 / (total[:, 0] * np.exp(m[:, 0]))
+    q /= total
+    return grid, q, 1.0 / (total[:, 0] * np.exp(m[:, 0]))
 
 
 def def_pmf(kernel, params: DefParams):
@@ -322,8 +333,9 @@ def def_normalizer(kernel, params: DefParams) -> float:
 
 def def_log_density(kernel, params: DefParams, y, normalized: bool = False):
     """log f_{gamma,theta}(y); with ``normalized`` off, uses the C = 1 convention."""
-    out = _unnormalized_logpmf(kernel, params.theta, params.gamma,
-                               params.phi, kernel.check_support(y))
+    y = kernel.check_support(y)
+    out = (loglik_terms(kernel, params.theta, np.log(params.gamma), y, params.phi)
+           + kernel.base_measure(y, params.phi))
     if normalized:
         out = out + np.log(def_normalizer(kernel, params))
     return out

@@ -6,7 +6,7 @@ convention and drops the base-measure term c(y, phi) (constant in beta and
 alpha); pass ``include_base_measure=True`` where absolute values must be
 comparable, e.g. held-out evaluation.
 
-Per-observation term:
+Per-observation term, :func:`dropglm.families.loglik_terms`:
 
     l_i = 0.5 * z_i^T alpha
           + exp(z_i^T alpha) * (y_i x_i^T beta - b(x_i^T beta)) / phi
@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import SplineBasis, design_matrix
 from .errors import ConfigError
-from .families import FamilyKernel, kernel_for
+from .families import FamilyKernel, kernel_for, loglik_terms
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,6 @@ class ScoreReport:
     hess_bb: np.ndarray
     hess_ba: np.ndarray
     hess_aa: np.ndarray
-
-
-def loglik_terms(kernel: FamilyKernel, theta, eta, y, scale) -> np.ndarray:
-    """Per-observation l_i at mean predictor theta and eta = log gamma
-    (C = 1 convention), with scale = phi; broadcasts over arrays."""
-    sat = kernel.saturated_term(y) / scale
-    # gamma can overflow to inf under extreme alpha; 0 * inf is treated as 0
-    # so that a saturated observation does not poison the total with NaN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = (y * theta - kernel.b(theta)) / scale - sat
-        term = np.where(gap == 0.0, 0.0, np.exp(eta) * gap)
-    return 0.5 * eta + term + sat
 
 
 def loglik(spec: GlmSpec, y, include_base_measure: bool = False) -> float:

@@ -109,9 +109,21 @@ def write_manifest(out_dir, command: str, config: dict, seed, output_names) -> P
     return path
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is refused, not
+    silently taken from its last occurrence."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_json_config(path) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:

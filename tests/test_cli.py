@@ -432,6 +432,29 @@ class TestExitCodes:
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
 
+    # A repeated key is refused at any depth, not read from its last occurrence.
+    @pytest.mark.parametrize("source,text,key", [
+        ("simulate", '{"family": "gaussian", "n": 5, "n": 30, "seed": 1}', "n"),
+        ("fit", '{"family": "gaussian", "mean_knots": 5, "disp_knots": 4, '
+                '"optim": {"max_iters": 400, "batch_size": 20, "max_iters": 40}}',
+         "max_iters"),
+        ("rerun", '{"command": "simulate", "config": {"replicate": 0, '
+                  '"scenario": {"family": "gaussian", "n": 30}, "replicate": 1}}',
+         "replicate")], ids=["fresh", "nested-optim", "rerun-manifest"])
+    def test_duplicate_json_key_exits_2(self, tmp_path, capsys, source, text, key):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        argv = {"simulate": ["simulate", "--config", str(path)],
+                "fit": ["fit", "--data", write_xy(tmp_path / "data.csv",
+                                                  np.linspace(0, 1, 40)),
+                        "--config", str(path), "--method", "bernoulli",
+                        "--params", "0.1,0.1"],
+                "rerun": ["rerun", str(path)]}[source]
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert f"{path}: duplicate key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_with_vanished_input_exits_3(self, tmp_path):
         data = write_xy(tmp_path / "data.csv", np.linspace(0, 1, 40))
         model = small_model(tmp_path)

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import re
 
 import numpy as np
@@ -78,6 +80,58 @@ class TestLogDensity:
         ef = (y * theta - kernel.b(theta)) / r + kernel.base_measure(y, r)
         got = fam.def_log_density(kernel, params, y)
         assert np.max(np.abs(got - ef)) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.507, 2.5])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_is_the_working_term_plus_the_base_measure(self, name, gamma):
+        # One code path: the density the tables and def_log_density read is
+        # loglik_terms, the term the likelihood and the oracles sum, to the bit.
+        kernel, y, params = self.grid_case(name, gamma)
+        expected = (fam.loglik_terms(kernel, params.theta, np.log(params.gamma), y,
+                                     params.phi)
+                    + kernel.base_measure(y, params.phi))
+        assert np.array_equal(fam.def_log_density(kernel, params, y), expected)
+
+    @pytest.mark.parametrize("gamma", [0.3, 2.5])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_matches_the_textbook_def_form(self, name, gamma):
+        # Efron's (1986) DEF with each saturated term in closed form,
+        # 0*log(0) := 0 written out, one observation at a time.
+        kernel, y, params = self.grid_case(name, gamma)
+        theta, phi = params.theta, params.phi
+
+        def xlog(a, b):
+            return a * math.log(b) if a > 0 else 0.0
+
+        def textbook(v):
+            if name == "gaussian":  # exactly N(theta, phi/gamma)
+                return (0.5 * math.log(gamma) - 0.5 * math.log(2 * math.pi * phi)
+                        - gamma * (v - theta) ** 2 / (2 * phi))
+            if name == "poisson":
+                mu = math.exp(theta)
+                return (0.5 * math.log(gamma) + gamma * (v * theta - mu)
+                        + (1 - gamma) * (xlog(v, v) - v) - math.lgamma(v + 1))
+            n = kernel.trials
+            pi = 1 / (1 + math.exp(-theta))
+            return (0.5 * math.log(gamma)
+                    + gamma * (xlog(v, pi) + xlog(n - v, 1 - pi))
+                    + (1 - gamma) * (xlog(v, v / n) + xlog(n - v, (n - v) / n))
+                    + math.lgamma(n + 1) - math.lgamma(v + 1) - math.lgamma(n - v + 1))
+
+        expected = np.array([textbook(float(v)) for v in y])
+        np.testing.assert_allclose(fam.def_log_density(kernel, params, y), expected,
+                                   rtol=1e-12, atol=0)
+
+    @staticmethod
+    def grid_case(name, gamma):
+        """A kernel, a grid of y values and the DEF parameters at ``gamma``."""
+        if name == "gaussian":
+            return (KERNELS[name], np.linspace(-4.0, 6.0, 61),
+                    DefParams(theta=0.8, gamma=gamma, phi=1.7))
+        kernel = fam.PoissonKernel() if name == "poisson" else fam.BinomialKernel(70)
+        theta = np.log(40.07) if name == "poisson" else 0.4
+        y = kernel.support_grid(float(kernel.b_prime(theta)))
+        return kernel, y, DefParams(theta=theta, gamma=gamma)
 
     def test_out_of_support_raises(self):
         params = DefParams(theta=0.0, gamma=1.0)
@@ -227,6 +281,22 @@ class TestSampling:
             idx = np.searchsorted(np.cumsum(p), rng.random(), side="right")
             expected[i] = grid[min(idx, len(grid) - 1)]
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("family,disp_index,digest", [
+        ("dpoisson", 2, "bf15f320f5ec7a614fe169ecea92dd2aa8ecdbada35b99897a7652d5b8885ba1"),
+        ("dbinomial", 3, "dd43eb39a4aa40608597fcbe5168fa6a5658acb2fa81009fbe3a699db94441df"),
+    ])
+    def test_draws_at_the_simulate_counts_shapes_are_pinned(self, family, disp_index,
+                                                            digest):
+        # The shapes of the `simulate-counts` benchmark: n = 1,000, and g3's
+        # peaked tables (gamma up to ~104) for dbinomial.
+        config = ScenarioConfig(family=family, disp_index=disp_index, n=1000)
+        kernel = config.kernel()
+        x = np.random.default_rng(1000).random(1000)
+        y = fam.def_sample_each(kernel, kernel.mean_to_theta(config.mean_function(x)),
+                                config.disp_function(x), np.random.default_rng(8),
+                                phi=config.phi)
+        assert hashlib.sha256(y.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0])
     @pytest.mark.parametrize("name", sorted(KERNELS))
