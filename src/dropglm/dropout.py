@@ -99,9 +99,7 @@ class NoiseSpec:
         if self.kind == "bernoulli":
             keep = 1.0 - param
             noise = rng.random(shape)
-            np.less(noise, keep, out=noise)
-            noise /= keep
-            return noise
+            return np.multiply(noise < keep, 1.0 / keep, out=noise)
         noise = rng.standard_normal(shape)
         noise *= param
         noise += 1.0

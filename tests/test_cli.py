@@ -306,7 +306,7 @@ class TestTraffic:
         # header, a repeated column name (its last occurrence is read), extra
         # and missing fields, bad dates, hours and counts, hour 24 and
         # duplicate keys: the parsed records and the reject count are pinned.
-        import hashlib
+        import datetime
 
         from dropglm.traffic import read_traffic_csv
 
@@ -340,8 +340,11 @@ class TestTraffic:
         path.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n")
         data = read_traffic_csv(path)
         assert (len(data.records), data.rejected) == (6, 13)
-        digest = hashlib.sha256(repr((data.records, data.rejected)).encode()).hexdigest()
-        assert digest == "5e7c3c060e5016877f842c0603f10f4b25d02c130e39f290e71841db7d1cbf4c"
+        june = datetime.date(2019, 6, 1), datetime.date(2019, 6, 2)
+        assert [(*data.series[s], d, h, c) for s, d, h, c in data.records.tolist()] == [
+            ("W1", "inbound", june[0], 0, 10), ("W1", "inbound", june[0], 1, 11),
+            ("W2", "outbound", june[0], 0, 12), ("W1", "inbound", june[1], 4, 7),
+            ("W1", "inbound", june[1], 6, 8), ("W1", "inbound", june[1], 0, 9)]
 
 
 class TestExitCodes:
@@ -904,7 +907,7 @@ class TestExitCodes:
                         + "\n", encoding="utf-8")
         data = read_traffic_csv(path)
         assert data.rejected == len(bad)
-        assert [(r.date.isoformat(), r.hour, r.count) for r in data.records] == [
+        assert [(d.isoformat(), h, c) for _, d, h, c in data.records.tolist()] == [
             ("2019-06-01", 7, 5), ("2019-06-01", 8, 12)]
 
     def test_malformed_rows_rejected_with_count(self, tmp_path):
@@ -936,6 +939,17 @@ class TestExitCodes:
                        "--config", optim_cfg, "--out", str(tmp_path / "o")) == code
         if code:
             assert "no data for sensor" in capsys.readouterr().err
+
+    def test_summer_2019_without_summer_rows_exits_3(self, tmp_path, capsys):
+        csv_path = tmp_path / "traffic.csv"
+        csv_path.write_text("sensor,direction,date,hour,count\n" + "".join(
+            f"W1,inbound,{date},{h},{50 + h}\n"
+            for date in ("2018-07-01", "2019-05-31", "2019-09-01", "2020-06-01")
+            for h in range(24)))
+        assert run_cli("traffic", "--data", str(csv_path), "--sensor", "W1",
+                       "--direction", "inbound", "--summer-2019", "--samples", "1",
+                       "--folds", "2", "--out", str(tmp_path / "o")) == 3
+        assert "no summer-2019 rows for W1/inbound" in capsys.readouterr().err
 
 
 class TestCsvRoundTrip:

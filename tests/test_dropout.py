@@ -45,6 +45,17 @@ class TestNoiseSpec:
         assert abs(draws.mean() - 1.0) < 3 * np.sqrt(1.0 / len(draws))
         assert noise.mean_variance == pytest.approx(1.0)  # delta/(1-delta)
 
+    # One epoch's band block (batches, batch size, band width): desk-shaped
+    # (250 rows, 3 folds, batch 30) and traffic-shaped (1,767 training rows).
+    @pytest.mark.parametrize("shape", [(5, 30, 4), (58, 30, 4)])
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 0.7])
+    def test_bernoulli_draw_is_uniforms_below_keep_over_keep(self, shape, delta):
+        keep = 1.0 - delta
+        draws = NoiseSpec.bernoulli(delta, delta).draw("disp", shape, np.random.default_rng(7))
+        expected = (np.random.default_rng(7).random(shape) < keep) / keep
+        assert draws.dtype == np.float64
+        np.testing.assert_array_equal(draws.view(np.int64), expected.view(np.int64))
+
     def test_gaussian_moments(self):
         noise = NoiseSpec.gaussian(0.3, 0.0)
         draws = noise.draw("mean", (100_000,), np.random.default_rng(1))
