@@ -18,12 +18,12 @@ plus a nonnegative penalty (Jensen, since b is convex).  This module provides
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .families import loglik_terms
+from .families import frozen, loglik_terms
 from .model import GlmSpec, fisher_weights, score_terms
 
 
@@ -39,6 +39,7 @@ class NoiseSpec:
     kind: str  # "bernoulli" | "gaussian"
     mean_param: float = 0.0  # delta_mu (bernoulli) or sigma_mu (gaussian)
     disp_param: float = 0.0  # delta_gamma or sigma_gamma
+    operands: dict = field(init=False, repr=False, compare=False)  # draw's, per side
 
     def __post_init__(self):
         if self.kind not in ("bernoulli", "gaussian"):
@@ -52,6 +53,13 @@ class NoiseSpec:
                 if not 0.0 <= p < np.inf:
                     raise ConfigError(f"gaussian noise sd must be finite and "
                                       f"nonnegative, got {p}")
+        sides = (("mean", self.mean_param), ("disp", self.disp_param))
+        object.__setattr__(self, "operands", {
+            side: (frozen(1.0 - p), frozen(1.0 / (1.0 - p))) if self.kind == "bernoulli"
+            else (frozen(p), frozen(1.0)) for side, p in sides})
+
+    def __reduce__(self):  # a copy rebuilds its read-only operands
+        return NoiseSpec, (self.kind, self.mean_param, self.disp_param)
 
     @staticmethod
     def none() -> "NoiseSpec":
@@ -95,14 +103,15 @@ class NoiseSpec:
         a zero feature has no effect, so the band's draws are the same model
         in law.
         """
-        param = self.param(side)
+        operands = self.operands["mean" if side == "mean" else "disp"]
         if self.kind == "bernoulli":
-            keep = 1.0 - param
+            keep, inv_keep = operands
             noise = rng.random(shape)
-            return np.multiply(noise < keep, 1.0 / keep, out=noise)
+            return np.multiply(noise < keep, inv_keep, out=noise)
+        sd, one = operands
         noise = rng.standard_normal(shape)
-        noise *= param
-        noise += 1.0
+        noise *= sd
+        noise += one
         return noise
 
 

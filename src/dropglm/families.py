@@ -26,12 +26,22 @@ from scipy.special import expit, gammaln
 
 from .errors import ConfigError, DomainError, NumericError
 
+
+def frozen(value) -> np.ndarray:
+    """``value`` as a read-only float64 array: an operand built once."""
+    value = np.array(value, dtype=float)
+    value.flags.writeable = False
+    return value
+
+
 # Largest Poisson tail mass beyond the truncation cap that the discrete
 # tables accept; a fatter tail raises NumericError.
 TAIL_TOL = 1e-12
 
 # Observations per sampling table: amortises numpy call overhead for ~1.5 MB.
 TABLE_ROWS = 32
+
+_ZERO, _HALF = frozen(0.0), frozen(0.5)
 
 
 def _poisson_cap(mean: float) -> int:
@@ -108,11 +118,10 @@ class GaussianKernel(FamilyKernel):
     theta_clamp = 1e8
 
     def b(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return 0.5 * theta**2
+        return _HALF * np.asarray(theta, dtype=float)**2
 
     def b_prime(self, theta):
-        return np.asarray(theta, dtype=float) + 0.0
+        return np.asarray(theta, dtype=float) + _ZERO
 
     def b_second(self, theta):
         return np.ones_like(np.asarray(theta, dtype=float))
@@ -193,14 +202,15 @@ class BinomialKernel(FamilyKernel):
         if not (1 <= trials < np.inf and int(trials) == trials):
             raise DomainError(f"binomial: trials must be a positive integer, got {trials}")
         self.trials = int(trials)
+        self._trials = frozen(self.trials)
 
     def b(self, theta):
         theta = np.asarray(theta, dtype=float)
         # log(1 + e^t) = max(t, 0) + log1p(exp(-|t|)), stable for large |t|.
-        return self.trials * (np.maximum(theta, 0.0) + np.log1p(np.exp(-np.abs(theta))))
+        return self._trials * (np.maximum(theta, _ZERO) + np.log1p(np.exp(-np.abs(theta))))
 
     def b_prime(self, theta):
-        return self.trials * expit(np.asarray(theta, dtype=float))
+        return self._trials * expit(np.asarray(theta, dtype=float))
 
     def b_second(self, theta):
         s = expit(np.asarray(theta, dtype=float))

@@ -21,7 +21,9 @@ import numpy as np
 
 from .basis import SplineBasis, design_matrix
 from .errors import ConfigError
-from .families import FamilyKernel, kernel_for, loglik_terms
+from .families import FamilyKernel, frozen, kernel_for, loglik_terms
+
+_HALF = frozen(0.5)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ def score_terms(kernel: FamilyKernel, theta, gamma, y, sat, scale):
         gap /= scale
         u_beta /= scale
     u_alpha = gamma * gap
-    u_alpha += 0.5
+    u_alpha += _HALF
     return u_beta, u_alpha
 
 

@@ -36,6 +36,10 @@ once, and a penalized group takes its penalty gradient in one call.
 :func:`lockstep_floats` states the memory one fit holds, so callers can
 size their groups.
 
+Every float operand of the iteration's numpy calls is a read-only 0-d array
+built once: numpy 2 converts a Python float on each call, 0.60-0.64 against
+0.44-0.46 µs for ``np.maximum`` into a (1, 30, 1) block (2-core Xeon).
+
 Determinism contract: identical seeds, data and configs produce bitwise
 identical results, and the draws of a fit run for fewer iterations are a
 prefix of those of the same fit run longer.
@@ -49,16 +53,18 @@ import numpy as np
 
 from .dropout import NoiseSpec
 from .errors import ConfigError
+from .families import frozen
 from .model import GlmSpec, score_terms
 
 # Safety clamp on the dispersion predictor during fitting only, as the
 # kernel's ``theta_clamp`` on the mean predictor.
-_ETA_CLAMP = 15.0
+_ETA_LO, _ETA_HI = frozen(-15.0), frozen(15.0)
 # Below this, a sum of squared gradients over fits bounds each fit's own
 # g'g far from overflow, whatever the order of summation.
 _CLEAR_SQUARES = 1e300
-# ADADELTA decay and stabilizer.
+# ADADELTA decay and stabilizer, and the operands adadelta_step reads.
 RHO, EPS = 0.95, 1e-6
+_RHO, _ONE_MINUS_RHO, _EPS = frozen(RHO), frozen(1.0 - RHO), frozen(EPS)
 # Batches of an epoch gathered into the design blocks at a time: whole
 # epochs of up to 8 batches, and a few hundred rows of a longer one.
 EPOCH_CHUNK = 8
@@ -98,20 +104,20 @@ def adadelta_step(avg_sq_grad: np.ndarray, avg_sq_step: np.ndarray,
     step    = sqrt((E[s^2] + eps) / (E[g^2] + eps)) * grad
     E[s^2] <- rho E[s^2] + (1-rho) step^2
     """
-    if avg_sq_grad.shape != grad.shape:
-        raise ConfigError("accumulator and gradient lengths differ")
-    step = avg_sq_step + EPS
+    if not avg_sq_grad.shape == avg_sq_step.shape == grad.shape:
+        raise ConfigError("accumulator and gradient shapes differ")
+    step = avg_sq_step + _EPS
     sq = grad * grad
-    sq *= 1.0 - RHO
-    avg_sq_grad *= RHO
+    sq *= _ONE_MINUS_RHO
+    avg_sq_grad *= _RHO
     avg_sq_grad += sq
-    np.add(avg_sq_grad, EPS, out=sq)
+    np.add(avg_sq_grad, _EPS, out=sq)
     step /= sq
     np.sqrt(step, out=step)
     step *= grad
     np.multiply(step, step, out=sq)
-    sq *= 1.0 - RHO
-    avg_sq_step *= RHO
+    sq *= _ONE_MINUS_RHO
+    avg_sq_step *= _RHO
     avg_sq_step += sq
     return step
 
@@ -250,9 +256,9 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
     X, Z = spec.X, spec.Z
     F, B = len(fits), config.batch_size
     p, q = X.shape[1], Z.shape[1]
-    phi = spec.phi
+    phi = frozen(spec.phi)
     sat = kernel.saturated_term(y)
-    theta_clamp = kernel.theta_clamp
+    theta_lo, theta_hi = frozen(-kernel.theta_clamp), frozen(kernel.theta_clamp)
     max_iters = config.max_iters
 
     # One vector w = [beta; alpha] per fit, and ADADELTA's two averages.
@@ -345,11 +351,11 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
 
         Xc, Zc, XcT, ZcT, yc, satc = slots[c]
         np.matmul(Xc, beta, out=theta)
-        np.maximum(theta, -theta_clamp, out=theta)
-        np.minimum(theta, theta_clamp, out=theta)
+        np.maximum(theta, theta_lo, out=theta)
+        np.minimum(theta, theta_hi, out=theta)
         np.matmul(Zc, alpha, out=eta)
-        np.maximum(eta, -_ETA_CLAMP, out=eta)
-        np.minimum(eta, _ETA_CLAMP, out=eta)
+        np.maximum(eta, _ETA_LO, out=eta)
+        np.minimum(eta, _ETA_HI, out=eta)
         gamma = np.exp(eta, out=eta)
         u_beta, u_alpha = score_terms(kernel, theta, gamma, yc, satc, phi)
         np.matmul(XcT, u_beta, out=grad_beta)
@@ -364,7 +370,7 @@ def _lockstep(spec: GlmSpec, y, fits: list, per_epoch: int, config: OptimConfig,
         # overflows in ADADELTA); a rejected fit's w and averages stay as
         # they are.  A sum of squares over all fits far below overflow clears
         # every fit at once.
-        if grad_flat @ grad_flat < _CLEAR_SQUARES:
+        if grad_flat.dot(grad_flat) < _CLEAR_SQUARES:
             w += adadelta_step(avg_sq_grad, avg_sq_step, grad)
         else:
             ok = np.isfinite(np.matmul(sq_left, sq_right)[:, 0, 0])

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dropout import NoiseSpec
 from .errors import ConfigError
+from .families import frozen
 from .model import GlmSpec, loglik
 from .optim import FitResult, OptimConfig, fit
 
@@ -45,6 +46,7 @@ class DiffPenalty:
     dim_disp: int
     P_mean: np.ndarray = field(init=False, repr=False, compare=False)
     P_disp: np.ndarray = field(init=False, repr=False, compare=False)
+    twice: tuple = field(init=False, repr=False, compare=False)  # (2 lam_mean, 2 lam_disp)
 
     def __post_init__(self):
         lams = np.array([self.lam_mean, self.lam_disp])
@@ -53,6 +55,7 @@ class DiffPenalty:
                               f"got ({self.lam_mean}, {self.lam_disp})")
         object.__setattr__(self, "P_mean", second_difference_penalty(self.dim_mean))
         object.__setattr__(self, "P_disp", second_difference_penalty(self.dim_disp))
+        object.__setattr__(self, "twice", (frozen(2 * self.lam_mean), frozen(2 * self.lam_disp)))
 
     @classmethod
     def stack(cls, penalties) -> "DiffPenalty":
@@ -69,8 +72,7 @@ class DiffPenalty:
                      + self.lam_disp * alpha @ self.P_disp @ alpha)
 
     def gradient(self, beta, alpha):
-        return (2.0 * self.lam_mean * (self.P_mean @ beta),
-                2.0 * self.lam_disp * (self.P_disp @ alpha))
+        return self.twice[0] * (self.P_mean @ beta), self.twice[1] * (self.P_disp @ alpha)
 
 
 def pmle_objective(spec: GlmSpec, y, penalty: DiffPenalty) -> float:

@@ -46,9 +46,9 @@ PMLE_WEIGHT_UNIT = 50_000.0
 # optim.lockstep_floats: 3 MB, 13 traffic-sized fits (1,767 rows, 24/12
 # cyclic knots, 27,780 floats each), so a traffic CV of 2 x 5 fits runs as
 # one group, or 30 desk-sized ones (167 rows, 30/20 knots, 12,400 floats).
-# With Bernoulli noise on both sides, a traffic-sized fit costs 26 us per
-# iteration alone, 8 us in a group of 5, 6 us in one of 10 and 5.7 us in
-# one of 14 (2-core host, one BLAS thread).
+# With Bernoulli noise on both sides, a traffic-sized fit costs 24 us per
+# iteration alone, 7.6 us in a group of 5, 5.9 us in one of 10 and 5.4 us
+# in one of 14 (median of 5 runs; 2-core host, one BLAS thread).
 CV_GROUP_FLOATS = 375_000
 
 

@@ -95,3 +95,93 @@ def test_only_families_reads_a_kernel_name():
                      for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Attribute) and node.attr == "name")
     assert readers == []
+
+
+# The SGD hot path, by module: the functions and methods (``Class.method``,
+# ``*`` for every class that defines it, as the kernels and their base do)
+# whose numpy calls run every iteration or epoch, and ``_lockstep``'s
+# iteration loop.  numpy converts a Python float operand on every call, so
+# these take read-only 0-d arrays built once instead.
+HOT_PATH = {
+    "optim": ["adadelta_step", "_lockstep"],
+    "model": ["score_terms"],
+    "families": ["*.b", "*.b_prime", "*.b_and_mean"],
+    "dropout": ["NoiseSpec.draw"],
+    "pmle": ["DiffPenalty.gradient"],
+}
+
+
+def is_float(node, constants):
+    """A float literal or a module-level float constant, signed or not."""
+    while isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return ((isinstance(node, ast.Constant) and type(node.value) is float)
+            or (isinstance(node, ast.Name) and node.id in constants))
+
+
+def float_constants(trees):
+    """module -> the names it binds at top level, or imports from another
+    module of the package, to a float literal."""
+    own = {}
+    for module, tree in trees.items():
+        own[module] = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = ([(target, node.value)] if not isinstance(target, ast.Tuple)
+                             else zip(target.elts, node.value.elts))
+                    own[module] |= {t.id for t, v in pairs if is_float(v, ())}
+    names = {}
+    for module, tree in trees.items():
+        names[module] = set(own[module])
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names[module] |= {a.asname or a.name for a in node.names
+                                  if a.name in own.get(node.module, ())}
+    return names
+
+
+def hot_nodes(tree, dotted):
+    """The definitions ``dotted`` names in ``tree``; for ``_lockstep``, its
+    ``for it in range(...)`` loop."""
+    nodes = [tree]
+    for name in dotted.split("."):
+        nodes = [n for parent in nodes for n in parent.body
+                 if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                 and name in ("*", n.name)]
+    if dotted == "_lockstep":
+        return [n for n in ast.walk(nodes[0]) if isinstance(n, ast.For)
+                and isinstance(n.target, ast.Name) and n.target.id == "it"]
+    return nodes
+
+
+def float_operands(node, constants):
+    """``line: source`` of each float operand of a binary operation, an
+    augmented assignment or a positional argument of an ``np.*`` call."""
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.BinOp):
+            operands = [n.left, n.right]
+        elif isinstance(n, ast.AugAssign):
+            operands = [n.value]
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and isinstance(n.func.value, ast.Name) and n.func.value.id == "np"):
+            operands = n.args
+        else:
+            continue
+        found += [f"{op.lineno}: {ast.unparse(op)}" for op in operands
+                  if is_float(op, constants)]
+    return found
+
+
+def test_the_sgd_hot_path_takes_no_python_float_operand():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    constants = float_constants(trees)
+    found = {}
+    for module, names in HOT_PATH.items():
+        for dotted in names:
+            nodes = hot_nodes(trees[module], dotted)
+            assert nodes, f"{module}.{dotted} is gone: update HOT_PATH"
+            found.update((f"{module}.{dotted}:{node.lineno}", operands) for node in nodes
+                         if (operands := float_operands(node, constants[module])))
+    assert found == {}

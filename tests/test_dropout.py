@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import itertools
+import pickle
+
 import numpy as np
 import pytest
 
@@ -55,6 +60,46 @@ class TestNoiseSpec:
         expected = (np.random.default_rng(7).random(shape) < keep) / keep
         assert draws.dtype == np.float64
         np.testing.assert_array_equal(draws.view(np.int64), expected.view(np.int64))
+
+    # The other side's parameter differs, so each side must read its own.
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    @pytest.mark.parametrize("side", ["mean", "disp"])
+    def test_bernoulli_draw_reads_its_own_side(self, delta, side):
+        keep = 1.0 - delta
+        params = (delta, 0.5) if side == "mean" else (0.5, delta)
+        draws = NoiseSpec.bernoulli(*params).draw(side, (5, 30, 4), np.random.default_rng(7))
+        expected = (np.random.default_rng(7).random((5, 30, 4)) < keep) / keep
+        np.testing.assert_array_equal(draws.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(5, 30, 4), (58, 30, 4)])
+    @pytest.mark.parametrize("sd", [0.0, 0.3, 1.7])
+    @pytest.mark.parametrize("side", ["mean", "disp"])
+    def test_gaussian_draw_is_normals_times_sd_plus_one(self, shape, sd, side):
+        params = (sd, 0.5) if side == "mean" else (0.5, sd)
+        draws = NoiseSpec.gaussian(*params).draw(side, shape, np.random.default_rng(8))
+        expected = np.random.default_rng(8).standard_normal(shape) * sd + 1.0
+        np.testing.assert_array_equal(draws.view(np.int64), expected.view(np.int64))
+
+    def test_cached_operands_leave_the_value_semantics(self):
+        # Equality, hashing, repr, replace and copies see only the three
+        # fields; a copy rebuilds its read-only operands and draws the same.
+        spec = NoiseSpec.bernoulli(0.3, 0.5)
+        assert spec == NoiseSpec.bernoulli(0.3, 0.5)
+        assert {spec, NoiseSpec.bernoulli(0.3, 0.5)} == {spec}
+        assert spec != NoiseSpec.bernoulli(0.3, 0.4)
+        assert spec != NoiseSpec.gaussian(0.3, 0.5)
+        assert repr(spec) == "NoiseSpec(kind='bernoulli', mean_param=0.3, disp_param=0.5)"
+        moved = dataclasses.replace(spec, kind="gaussian")
+        assert moved == NoiseSpec.gaussian(0.3, 0.5)
+        for other, twin in ((pickle.loads(pickle.dumps(spec)), spec),
+                            (copy.deepcopy(moved), moved), (moved, NoiseSpec.gaussian(0.3, 0.5))):
+            assert other == twin and hash(other) == hash(twin)
+            for side in ("mean", "disp"):
+                got = other.draw(side, (5, 30, 4), np.random.default_rng(9))
+                want = twin.draw(side, (5, 30, 4), np.random.default_rng(9))
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            for operand in itertools.chain(*other.operands.values()):
+                assert operand.shape == () and not operand.flags.writeable
 
     def test_gaussian_moments(self):
         noise = NoiseSpec.gaussian(0.3, 0.0)

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.special
 
 from dropglm import families as fam
 from dropglm.errors import DomainError, NumericError
@@ -47,6 +48,39 @@ class TestKernelDerivatives:
         assert np.all(kernel.b_second(theta) > 0)
         assert np.allclose(kernel.mean_to_theta(kernel.b_prime(theta)), theta,
                            atol=1e-10)
+
+
+class TestHotPathOperands:
+    def test_b_and_b_prime_keep_the_bits_of_python_float_operands(self):
+        theta = np.array([-31.0, -2.5, -0.0, 0.0, 1e-300, 0.7, 40.0])
+        pairs = [
+            (KERNELS["gaussian"].b(theta), 0.5 * theta**2),
+            (KERNELS["gaussian"].b_prime(theta), theta + 0.0),  # -0.0 -> +0.0
+            (KERNELS["binomial"].b(theta),
+             10 * (np.maximum(theta, 0.0) + np.log1p(np.exp(-np.abs(theta))))),
+            (KERNELS["binomial"].b_prime(theta), 10 * scipy.special.expit(theta)),
+        ]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_every_cached_operand_is_read_only(self):
+        # Module constants and per-object caches of the hot path: an in-place
+        # operation on any of them raises instead of moving every later fit.
+        from dropglm import dropout, model, optim, pmle
+
+        operands = [value for module in (fam, model, optim, dropout, pmle)
+                    for value in vars(module).values()
+                    if isinstance(value, np.ndarray) and value.ndim == 0]
+        operands += [fam.BinomialKernel(10)._trials, fam.frozen(2.5)]
+        operands += pmle.DiffPenalty(0.5, 2.0, 5, 4).twice
+        for noise in (dropout.NoiseSpec.bernoulli(0.3, 0.0),
+                      dropout.NoiseSpec.gaussian(0.2, 0.4)):
+            operands += [op for ops in noise.operands.values() for op in ops]
+        assert len(operands) >= 14
+        for operand in operands:
+            assert operand.shape == () and operand.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                operand += 0.0
 
 
 class TestLogDensity:

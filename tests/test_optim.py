@@ -74,6 +74,13 @@ class TestAdadelta:
         with pytest.raises(ConfigError):
             adadelta_step(np.zeros(2), np.zeros(2), np.zeros(3))
 
+    def test_step_average_shape_mismatch_touches_neither_average(self):
+        # Both averages are checked before either is updated in place.
+        avg_sq_grad, avg_sq_step = np.full((1, 5), 0.4), np.full((3, 5), 0.2)
+        with pytest.raises(ConfigError):
+            adadelta_step(avg_sq_grad, avg_sq_step, np.ones((1, 5)))
+        assert (avg_sq_grad == 0.4).all() and (avg_sq_step == 0.2).all()
+
 
 class TestEpochBatches:
     @pytest.mark.parametrize("n,batch_size", [(40, 10), (43, 10), (30, 30), (59, 30)])

@@ -63,6 +63,30 @@ class TestPenaltyMatrix:
             assert beta @ P @ beta >= 0.0
 
 
+class TestGradient:
+    # Desk (32/22 coefficients) and traffic (24/12) dimensions; a weight of
+    # 0, and weights whose doubling is exact but whose product is not.
+    @pytest.mark.parametrize("dims", [(32, 22), (24, 12)])
+    def test_gradient_is_two_lam_times_p_coefs_to_the_bit(self, dims):
+        rng = np.random.default_rng(4)
+        pens = [DiffPenalty(lm, ld, *dims)
+                for lm, ld in ((0.0, 3.7), (1e-3 / 7, 0.1), (123.456, 1e5 / 3))]
+        for pen in pens:
+            beta, alpha = rng.normal(size=dims[0]), rng.normal(size=dims[1])
+            got = pen.gradient(beta, alpha)
+            want = (2.0 * pen.lam_mean * (pen.P_mean @ beta),
+                    2.0 * pen.lam_disp * (pen.P_disp @ alpha))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+        stacked = DiffPenalty.stack(pens)
+        beta, alpha = rng.normal(size=(3, dims[0], 1)), rng.normal(size=(3, dims[1], 1))
+        got = stacked.gradient(beta, alpha)
+        want = (2.0 * stacked.lam_mean * (stacked.P_mean @ beta),
+                2.0 * stacked.lam_disp * (stacked.P_disp @ alpha))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
 class TestObjective:
     def test_zero_lambda_is_negative_loglik(self):
         rng = np.random.default_rng(2)
