@@ -42,12 +42,11 @@ from .simlab import (
     RESULT_COLUMNS,
     ScenarioConfig,
     generate_dataset,
-    method_rectangle,
     run_scenario,
 )
 from .traffic import (DIRECTIONS, TRAFFIC_RECTS, fit_traffic_model, read_traffic_csv,
                       select_series)
-from .tuning import METHODS, CvPlan, cv_table, fit_method, random_search_cv
+from .tuning import METHODS, RECTANGLES, CvPlan, cv_table, fit_method, random_search_cv
 
 TRAFFIC_SCHEMA = ("input CSV columns: sensor,direction,date,hour,count "
                   "(direction inbound|outbound, date YYYY-MM-DD, hour 0..24 "
@@ -217,7 +216,7 @@ class CvRun(_ModelRun):
 
     def tables(self) -> dict:
         model = self.model
-        rect = model.rect if model.rect is not None else method_rectangle(self.method)
+        rect = model.rect if model.rect is not None else RECTANGLES[self.method]
         plan = CvPlan(rect=rect, n_samples=self.samples, n_folds=self.folds,
                       seed=self.seed)
         x, y = _read_xy(self.input_path())

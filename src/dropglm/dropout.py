@@ -36,7 +36,7 @@ class NoiseSpec:
     draw independently; a side whose parameter is 0 draws no noise.
     """
 
-    kind: str  # "bernoulli" | "gaussian"
+    kind: str = "bernoulli"  # or "gaussian"; NoiseSpec() draws no noise
     mean_param: float = 0.0  # delta_mu (bernoulli) or sigma_mu (gaussian)
     disp_param: float = 0.0  # delta_gamma or sigma_gamma
     operands: dict = field(init=False, repr=False, compare=False)  # draw's, per side
@@ -61,19 +61,6 @@ class NoiseSpec:
     def __reduce__(self):  # a copy rebuilds its read-only operands
         return NoiseSpec, (self.kind, self.mean_param, self.disp_param)
 
-    @staticmethod
-    def none() -> "NoiseSpec":
-        """No noise: Bernoulli dropout with probability 0 on both sides."""
-        return NoiseSpec.bernoulli(0.0)
-
-    @staticmethod
-    def bernoulli(delta_mean: float, delta_disp: float = 0.0) -> "NoiseSpec":
-        return NoiseSpec(kind="bernoulli", mean_param=delta_mean, disp_param=delta_disp)
-
-    @staticmethod
-    def gaussian(sigma_mean: float, sigma_disp: float = 0.0) -> "NoiseSpec":
-        return NoiseSpec(kind="gaussian", mean_param=sigma_mean, disp_param=sigma_disp)
-
     def _variance(self, param: float) -> float:
         if self.kind == "bernoulli":
             return param / (1.0 - param)
@@ -89,8 +76,15 @@ class NoiseSpec:
         """sigma_gamma^2, the variance of a dispersion-side noise coordinate."""
         return self._variance(self.disp_param)
 
+    def _operands(self, side: str) -> tuple:
+        try:
+            return self.operands[side]
+        except (KeyError, TypeError):
+            raise ConfigError(f"unknown noise side {side!r}; use 'mean' or 'disp'") from None
+
     def param(self, side: str) -> float:
         """The noise parameter of ``side``, 'mean' or 'disp'."""
+        self._operands(side)
         return self.mean_param if side == "mean" else self.disp_param
 
     def draw(self, side: str, shape, rng: np.random.Generator) -> np.ndarray:
@@ -103,7 +97,7 @@ class NoiseSpec:
         a zero feature has no effect, so the band's draws are the same model
         in law.
         """
-        operands = self.operands["mean" if side == "mean" else "disp"]
+        operands = self._operands(side)
         if self.kind == "bernoulli":
             keep, inv_keep = operands
             noise = rng.random(shape)

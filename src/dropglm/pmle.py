@@ -24,7 +24,7 @@ import numpy as np
 from .dropout import NoiseSpec
 from .errors import ConfigError
 from .families import frozen
-from .model import GlmSpec, loglik
+from .model import GlmSpec, loglik, score
 from .optim import FitResult, OptimConfig, fit
 
 
@@ -82,8 +82,6 @@ def pmle_objective(spec: GlmSpec, y, penalty: DiffPenalty) -> float:
 
 def pmle_objective_grad(spec: GlmSpec, y, penalty: DiffPenalty):
     """Analytic gradient of :func:`pmle_objective` w.r.t. (beta, alpha)."""
-    from .model import score
-
     rep = score(spec, y)
     pg_beta, pg_alpha = penalty.gradient(spec.beta, spec.alpha)
     return -rep.score_beta + pg_beta, -rep.score_alpha + pg_alpha
@@ -94,4 +92,4 @@ def pmle_fit(spec: GlmSpec, y, penalty: DiffPenalty, config: OptimConfig,
     """Minimize the penalized objective on the shared SGD engine."""
     if penalty.dim_mean != spec.X.shape[1] or penalty.dim_disp != spec.Z.shape[1]:
         raise ConfigError("penalty dimensions do not match the designs")
-    return fit(spec, y, NoiseSpec.none(), config, rng, penalty=penalty)
+    return fit(spec, y, NoiseSpec(), config, rng, penalty=penalty)

@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .model import SplineModel, fitted_curves
 from .optim import OptimConfig
 from .rngs import substream
-from .tuning import CvPlan, fit_method, random_search_cv
+from .tuning import METHODS, RECTANGLES, CvPlan, fit_method, random_search_cv
 
 _erf = np.vectorize(math.erf, otypes=[float])
 
@@ -135,18 +135,6 @@ class ScenarioConfig:
         return np.linspace(0.0, 1.0, KAPPA + 1)
 
 
-def method_rectangle(method: str):
-    """Hyperparameter search rectangles used by the simulation study."""
-    rects = {
-        "bernoulli": ((0.0, 1.0), (0.0, 1.0)),
-        "gaussian": ((0.0, 3.0), (0.0, 6.0)),
-        "pmle": ((0.0, 15000.0), (0.0, 15000.0)),
-    }
-    if method not in rects:
-        raise ConfigError(f"unknown method {method!r}")
-    return rects[method]
-
-
 def generate_dataset(config: ScenarioConfig, replicate_index: int):
     """x ~ U[0,1]; y ~ DEF(mean f(x), dispersion g(x)) with scale phi, drawn
     from the replicate's own substream."""
@@ -186,6 +174,9 @@ def run_scenario(config: ScenarioConfig, methods) -> ScenarioResult:
     """The full protocol: CV on replicate 1, fits on replicates 2..R+1,
     RMSE on the evaluation grid for mean (response scale) and dispersion
     (gamma scale)."""
+    for method in methods:
+        if method not in RECTANGLES:
+            raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     model = config.model
     kernel = model.kernel()
     mean_basis, disp_basis = model.bases()
@@ -200,7 +191,7 @@ def run_scenario(config: ScenarioConfig, methods) -> ScenarioResult:
     rows = []
     cv_results = {}
     for method in methods:
-        plan = CvPlan(rect=method_rectangle(method), n_samples=config.cv_samples,
+        plan = CvPlan(rect=RECTANGLES[method], n_samples=config.cv_samples,
                       n_folds=config.cv_folds,
                       seed=int(substream(config.seed, "cvseed", method).integers(2**31)))
         x0, y0 = datasets[0]

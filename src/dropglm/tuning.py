@@ -1,9 +1,11 @@
 """Random-search k-fold cross-validation over hyperparameter rectangles.
 
-Each method exposes two nonnegative hyperparameters: the mean-side and
-dispersion-side dropout parameters (Bernoulli probability or Gaussian sd),
-or the two smoothing weights of the penalized baseline, stated in units of
-:data:`PMLE_WEIGHT_UNIT` (see :func:`fit_method`).  ``s`` pairs are
+The methods are the keys of :data:`RECTANGLES`: the dropout methods, each
+named by its :class:`dropglm.dropout.NoiseSpec` kind, and the penalized
+baseline ``pmle``.  Each exposes two nonnegative hyperparameters: the
+mean-side and dispersion-side dropout parameters (Bernoulli probability or
+Gaussian sd), or the two smoothing weights of the penalized baseline, stated
+in units of :data:`PMLE_WEIGHT_UNIT` (see :func:`fit_method`).  ``s`` pairs are
 drawn uniformly from the rectangle; each pair is fitted k times leaving one
 fold out and scored by the held-out log-likelihood (base-measure terms
 included so values are comparable across methods).  The winner is the pair
@@ -32,7 +34,10 @@ from .optim import FitResult, OptimConfig, fit, fit_many, lockstep_floats
 from .pmle import DiffPenalty, pmle_fit
 from .rngs import substream
 
-METHODS = ("bernoulli", "gaussian", "pmle")
+# Each method's search rectangle in the simulation study, in METHODS order.
+RECTANGLES = {"bernoulli": ((0.0, 1.0), (0.0, 1.0)), "gaussian": ((0.0, 3.0), (0.0, 6.0)),
+              "pmle": ((0.0, 15000.0), (0.0, 15000.0))}
+METHODS = tuple(RECTANGLES)
 
 # Unit of the PMLE smoothing weights in search rectangles and --params,
 # relative to the summed log-likelihood that DiffPenalty penalizes.  The
@@ -119,15 +124,13 @@ def fit_method(spec: GlmSpec, y, method: str, params, config: OptimConfig,
 def _engine_inputs(spec: GlmSpec, method: str, params):
     """(noise, penalty or None) of one method at one hyperparameter pair."""
     p1, p2 = float(params[0]), float(params[1])
-    if method == "bernoulli":
-        return NoiseSpec.bernoulli(p1, p2), None
-    if method == "gaussian":
-        return NoiseSpec.gaussian(p1, p2), None
-    if method == "pmle":
-        return NoiseSpec.none(), DiffPenalty(
-            lam_mean=p1 / PMLE_WEIGHT_UNIT, lam_disp=p2 / PMLE_WEIGHT_UNIT,
-            dim_mean=spec.X.shape[1], dim_disp=spec.Z.shape[1])
-    raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+    if method != "pmle":
+        return NoiseSpec(method, p1, p2), None
+    return NoiseSpec(), DiffPenalty(
+        lam_mean=p1 / PMLE_WEIGHT_UNIT, lam_disp=p2 / PMLE_WEIGHT_UNIT,
+        dim_mean=spec.X.shape[1], dim_disp=spec.Z.shape[1])
 
 
 def _heldout_loglik(spec: GlmSpec, y, idx_test, result: FitResult) -> float:

@@ -73,8 +73,8 @@ def test_criterion_1_gaussian_penalty_exactness():
     worst = 0.0
     for i in range(20):
         spec, y = random_instance(KERNELS["gaussian"], rng)
-        noise = (NoiseSpec.gaussian(rng.uniform(0.2, 0.6)) if i % 2
-                 else NoiseSpec.bernoulli(rng.uniform(0.1, 0.5)))
+        noise = (NoiseSpec("gaussian", rng.uniform(0.2, 0.6)) if i % 2
+                 else NoiseSpec("bernoulli", rng.uniform(0.1, 0.5)))
         est = mc_dropout_objective(spec, y, noise, 1_000_000,
                                    np.random.default_rng(1000 + i))
         snap = penalty_matrices(spec, noise)
@@ -96,8 +96,8 @@ def test_criterion_2_jensen_gate():
     for i in range(100):
         kernel = KERNELS[names[i % 3]]
         spec, _ = random_instance(kernel, rng, n_max=20, d_max=6)
-        noise = (NoiseSpec.bernoulli(rng.uniform(0.05, 0.6)) if i % 2
-                 else NoiseSpec.gaussian(rng.uniform(0.05, 0.8)))
+        noise = (NoiseSpec("bernoulli", rng.uniform(0.05, 0.6)) if i % 2
+                 else NoiseSpec("gaussian", rng.uniform(0.05, 0.8)))
         gaps, ses = exact_penalty_gap(spec, noise, 4000,
                                       np.random.default_rng(2000 + i))
         margin = np.min(gaps + 3 * ses)
@@ -119,7 +119,7 @@ def test_criterion_3_lognormal_dispersion_expectation():
         sigma = rng.uniform(0.2, 1.0)
         spec = GlmSpec(kernel=KERNELS["gaussian"], X=np.ones((1, 1)),
                        Z=z[None, :], beta=np.zeros(1), alpha=alpha)
-        noise = NoiseSpec.gaussian(0.0, sigma)
+        noise = NoiseSpec("gaussian", 0.0, sigma)
         formula = expected_noisy_dispersion(spec, noise)[0]
         zeta = noise.draw("disp", (1_000_000, dg), np.random.default_rng(3000 + i))
         emp = float(np.exp(zeta @ (z * alpha)).mean())
@@ -182,7 +182,7 @@ def test_criterion_5_fisher_identities():
         for _ in range(5):
             spec, y = random_instance(kernel, rng, n_max=20, d_max=6)
             i_beta, i_alpha = fisher_blocks(spec)
-            snap = penalty_matrices(spec, NoiseSpec.gaussian(0.3, 0.3))
+            snap = penalty_matrices(spec, NoiseSpec("gaussian", 0.3, 0.3))
             assert np.max(np.abs(snap.Theta - np.sqrt(spec.n * np.diag(i_beta)))) < 1e-12
             assert np.allclose(i_alpha, spec.Z.T @ spec.Z / spec.n, atol=1e-14)
 
@@ -231,7 +231,7 @@ def test_criterion_6_gradient_gate():
             check_grad(lambda a: loglik(spec.with_coefs(spec.beta, a), y),
                        rep.score_alpha, spec.alpha)
 
-            noise = NoiseSpec.gaussian(rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.5))
+            noise = NoiseSpec("gaussian", rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.5))
             gb, ga = penalized_objective_grad(spec, y, noise)
             check_grad(lambda b: penalized_objective(spec.with_coefs(b, spec.alpha), y, noise),
                        gb, spec.beta, tol=2e-6)

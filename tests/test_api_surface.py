@@ -97,6 +97,26 @@ def test_only_families_reads_a_kernel_name():
     assert readers == []
 
 
+def test_only_tuning_names_the_penalized_method():
+    # tuning.RECTANGLES states the method set once; a dropout method is its
+    # noise kind, so no other module looks a method up by the name "pmle".
+    readers = sorted(path.name for path in SOURCES if path.name != "tuning.py"
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Constant) and node.value == "pmle")
+    assert readers == []
+
+
+def test_noise_spec_has_no_static_constructor():
+    # A noise is built as NoiseSpec(kind, mean_param, disp_param).
+    tree = ast.parse((ROOT / "src" / "dropglm" / "dropout.py").read_text())
+    spec = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "NoiseSpec")
+    static = [node.name for node in spec.body if isinstance(node, ast.FunctionDef)
+              and any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                      for d in node.decorator_list)]
+    assert static == []
+
+
 # The SGD hot path, by module: the functions and methods (``Class.method``,
 # ``*`` for every class that defines it, as the kernels and their base do)
 # whose numpy calls run every iteration or epoch, and ``_lockstep``'s

@@ -123,7 +123,7 @@ def hook_calls(tmp_path):
     snapshot.write_text("sensor,direction,date,hour,count\n"
                         "W1,inbound,2019-07-01,8,250\nW1,inbound,2019-07-01,x,5\n")
     return {
-        "optim.fit": ((spec, y, NoiseSpec.bernoulli(0.2, 0.2),
+        "optim.fit": ((spec, y, NoiseSpec("bernoulli", 0.2, 0.2),
                        OptimConfig(batch_size=10, max_iters=5),
                        np.random.default_rng(0)), {}),
         "families.def_sample_each": ((fam.PoissonKernel(), np.zeros(3), np.ones(3),

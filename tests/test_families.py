@@ -73,8 +73,8 @@ class TestHotPathOperands:
                     if isinstance(value, np.ndarray) and value.ndim == 0]
         operands += [fam.BinomialKernel(10)._trials, fam.frozen(2.5)]
         operands += pmle.DiffPenalty(0.5, 2.0, 5, 4).twice
-        for noise in (dropout.NoiseSpec.bernoulli(0.3, 0.0),
-                      dropout.NoiseSpec.gaussian(0.2, 0.4)):
+        for noise in (dropout.NoiseSpec("bernoulli", 0.3, 0.0),
+                      dropout.NoiseSpec("gaussian", 0.2, 0.4)):
             operands += [op for ops in noise.operands.values() for op in ops]
         assert len(operands) >= 14
         for operand in operands:

@@ -188,7 +188,7 @@ class TestFisher:
         for kernel in KERNELS:
             spec = random_spec(kernel, rng, n=12, dm=4, dg=3)
             i_beta, _ = fisher_blocks(spec)
-            snap = penalty_matrices(spec, NoiseSpec.gaussian(0.5, 0.5))
+            snap = penalty_matrices(spec, NoiseSpec("gaussian", 0.5, 0.5))
             assert np.max(np.abs(snap.Theta - np.sqrt(spec.n * np.diag(i_beta)))) < 1e-12
 
 

@@ -121,7 +121,7 @@ class TestFit:
         spec, y = quadratic_problem(rng)
         target, *_ = np.linalg.lstsq(spec.X, y, rcond=None)
         config = OptimConfig(batch_size=spec.n, max_iters=40_000)
-        res = fit(spec, y, NoiseSpec.none(), config, np.random.default_rng(2))
+        res = fit(spec, y, NoiseSpec(), config, np.random.default_rng(2))
         assert np.linalg.norm(res.beta - target) < 1e-3
         assert np.allclose(res.alpha, 0.0)
 
@@ -134,7 +134,7 @@ class TestFit:
                        alpha=np.zeros(2))
         y = rng.poisson(3.0, n).astype(float)
         config = OptimConfig(batch_size=20, max_iters=3000)
-        res = fit(spec, y, NoiseSpec.none(), config, np.random.default_rng(4))
+        res = fit(spec, y, NoiseSpec(), config, np.random.default_rng(4))
         final = loglik(spec.with_coefs(res.beta, res.alpha), y)
         # Initialization: warm-started beta, alpha = 0.
         from dropglm.optim import warm_start_beta
@@ -147,7 +147,7 @@ class TestFit:
         rng = np.random.default_rng(5)
         spec, y = quadratic_problem(rng, n=50)
         config = OptimConfig(batch_size=10, max_iters=500)
-        noise = NoiseSpec.bernoulli(0.2, 0.3)
+        noise = NoiseSpec("bernoulli", 0.2, 0.3)
         a = fit(spec, y, noise, config, np.random.default_rng(11))
         b = fit(spec, y, noise, config, np.random.default_rng(11))
         assert np.array_equal(a.beta, b.beta)
@@ -196,7 +196,7 @@ class TestFit:
             return adadelta_step(avg_sq_grad, avg_sq_step, grad)
 
         monkeypatch.setattr(optim, "adadelta_step", spy)
-        fit(spec, y, NoiseSpec.none(), OptimConfig(batch_size=spec.n, max_iters=1),
+        fit(spec, y, NoiseSpec(), OptimConfig(batch_size=spec.n, max_iters=1),
             np.random.default_rng(0))
         beta0 = optim.warm_start_beta(spec, y)
         rep = score(spec.with_coefs(beta0, np.zeros(spec.Z.shape[1])), y)
@@ -214,7 +214,7 @@ class TestFit:
                        Z=rng.normal(size=(n, 2)) * 0.3, beta=np.zeros(4),
                        alpha=np.zeros(2))
         y = spec.X @ rng.normal(size=4) + rng.normal(size=n)
-        noise = NoiseSpec.bernoulli(0.3, 0.3)
+        noise = NoiseSpec("bernoulli", 0.3, 0.3)
         batches, draw = optim.epoch_batches, NoiseSpec.draw
         drawn = []
 
@@ -250,7 +250,7 @@ class TestFit:
 
         monkeypatch.setattr(NoiseSpec, "draw", spy)
         # Nine iterations in epochs of four: three epochs.
-        fit(spec, y, NoiseSpec.gaussian(0.3, 0.3),
+        fit(spec, y, NoiseSpec("gaussian", 0.3, 0.3),
             OptimConfig(batch_size=10, max_iters=9), np.random.default_rng(0))
         assert calls == [("mean", (4, 10, 4)), ("disp", (4, 10, 1))] * 3
 
@@ -267,7 +267,7 @@ class TestFit:
             return draw(self, side, shape, rng)
 
         monkeypatch.setattr(NoiseSpec, "draw", spy)
-        fit(scenario.model.spec(x), y, NoiseSpec.bernoulli(0.3, 0.3),
+        fit(scenario.model.spec(x), y, NoiseSpec("bernoulli", 0.3, 0.3),
             OptimConfig(batch_size=10, max_iters=9), np.random.default_rng(0))
         assert calls == [("mean", (4, 10, 4)), ("disp", (4, 10, 4))] * 3
 
@@ -281,13 +281,13 @@ class TestFit:
             return score_terms(kernel, theta, gamma, y, sat, scale)
 
         monkeypatch.setattr(optim, "score_terms", spy)
-        res = fit(spec, y, NoiseSpec.bernoulli(0.3, 0.3),
+        res = fit(spec, y, NoiseSpec("bernoulli", 0.3, 0.3),
                   OptimConfig(batch_size=10, max_iters=9), np.random.default_rng(0))
         assert res.n_iter == 9
         assert batch_sizes == [10] * 9
 
-    @pytest.mark.parametrize("noise", [NoiseSpec.bernoulli(0.3, 0.3),
-                                       NoiseSpec.gaussian(0.4, 0.3)])
+    @pytest.mark.parametrize("noise", [NoiseSpec("bernoulli", 0.3, 0.3),
+                                       NoiseSpec("gaussian", 0.4, 0.3)])
     def test_inputs_are_not_mutated(self, noise):
         # The noise is multiplied into each epoch's design rows in place, so
         # those rows must be copies, never views of the caller's arrays.
@@ -320,7 +320,7 @@ class TestFit:
 
         monkeypatch.setattr(optim, "adadelta_step", spy)
         config = OptimConfig(batch_size=10, max_iters=max_iters, avg_window=avg_window)
-        res = fit(spec, y, NoiseSpec.bernoulli(0.3, 0.3), config,
+        res = fit(spec, y, NoiseSpec("bernoulli", 0.3, 0.3), config,
                   np.random.default_rng(20))
         assert len(steps) == res.n_iter == max_iters
         w = np.concatenate([optim.warm_start_beta(spec, y), np.zeros(1)])
@@ -346,7 +346,7 @@ class TestFit:
         rng = np.random.default_rng(10)
         spec, y = quadratic_problem(rng, n=10)
         with pytest.raises(ConfigError):
-            fit(spec, y, NoiseSpec.none(), OptimConfig(batch_size=11),
+            fit(spec, y, NoiseSpec(), OptimConfig(batch_size=11),
                 np.random.default_rng(0))
 
     def test_every_lockstep_fit_is_checked_before_any_work(self):
@@ -357,7 +357,7 @@ class TestFit:
         before = [g.bit_generator.state for g in gens]
         with pytest.raises(ConfigError, match="exceeds n=5"):
             optim.fit_many(spec, y, [np.arange(40), np.arange(5)],
-                           [NoiseSpec.bernoulli(0.3, 0.3)] * 2,
+                           [NoiseSpec("bernoulli", 0.3, 0.3)] * 2,
                            OptimConfig(batch_size=10), gens, [None, None])
         assert [g.bit_generator.state for g in gens] == before
 
@@ -370,7 +370,7 @@ class TestFit:
         spec, y = quadratic_problem(rng)
         values = []
         for budget in (500, 1000, 2000, 4000, 8000, 16_000):
-            res = fit(spec, y, NoiseSpec.none(), OptimConfig(batch_size=40, max_iters=budget),
+            res = fit(spec, y, NoiseSpec(), OptimConfig(batch_size=40, max_iters=budget),
                       np.random.default_rng(13))
             values.append(loglik(spec.with_coefs(res.beta, res.alpha), y))
         values = np.array(values)
@@ -566,8 +566,8 @@ def test_mixed_noise_group_equals_each_fit_alone(family):
     # The mean side carries a noise-free fit and the dispersion side two,
     # each row order its own, and every fit gets the bits it gets alone.
     spec, y = _chunk_case(family)
-    noises = [NoiseSpec.bernoulli(0.3, 0.2), NoiseSpec.bernoulli(0.0, 0.4),
-              NoiseSpec.gaussian(0.5, 0.0), NoiseSpec.none()]
+    noises = [NoiseSpec("bernoulli", 0.3, 0.2), NoiseSpec("bernoulli", 0.0, 0.4),
+              NoiseSpec("gaussian", 0.5, 0.0), NoiseSpec()]
     order = np.random.default_rng(27)
     rows = [np.arange(spec.n), order.permutation(spec.n), np.arange(spec.n)[::-1],
             order.permutation(spec.n)]
@@ -589,8 +589,8 @@ def test_partly_rejecting_group_equals_each_fit_alone():
     scenario = ScenarioConfig(family="gaussian", n=60, mean_knots=10, disp_knots=8)
     x, y = generate_dataset(scenario, 0)
     spec = scenario.model.spec(x)
-    noises = [NoiseSpec.gaussian(0.4, 0.3), NoiseSpec.gaussian(0.0, 1e146),
-              NoiseSpec.gaussian(0.0, 1e149)]
+    noises = [NoiseSpec("gaussian", 0.4, 0.3), NoiseSpec("gaussian", 0.0, 1e146),
+              NoiseSpec("gaussian", 0.0, 1e149)]
     config = OptimConfig(**PIN_OPTIM)
     results = optim.fit_many(spec, y, [np.arange(spec.n)] * 3, noises, config,
                              [substream(7, "partial", f) for f in range(3)], [None] * 3)
@@ -629,7 +629,7 @@ def test_lockstep_floats_bounds_the_memory_of_a_group(shape, F):
     per_fit = optim.lockstep_floats(spec, max(map(len, rows)), config)
     tracemalloc.start()
     try:
-        optim.fit_many(spec, y, rows, [NoiseSpec.bernoulli(0.3, 0.2)] * F, config,
+        optim.fit_many(spec, y, rows, [NoiseSpec("bernoulli", 0.3, 0.2)] * F, config,
                        [substream(1, "footprint", f) for f in range(F)], [None] * F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

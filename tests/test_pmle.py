@@ -134,7 +134,7 @@ class TestPmleFit:
         config = OptimConfig(batch_size=20, max_iters=1500)
         penalty = DiffPenalty(0.0, 0.0, 4, 3)
         a = pmle_fit(spec, y, penalty, config, np.random.default_rng(7))
-        b = fit(spec, y, NoiseSpec.none(), config, np.random.default_rng(7))
+        b = fit(spec, y, NoiseSpec(), config, np.random.default_rng(7))
         assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.alpha, b.alpha)
 

@@ -13,12 +13,12 @@ from dropglm.simlab import (
     g2,
     g3,
     generate_dataset,
-    method_rectangle,
     rmse,
     run_scenario,
 )
 from dropglm.model import SplineModel
 from dropglm.optim import OptimConfig
+from dropglm.tuning import METHODS, RECTANGLES
 
 
 class TestFunctionsAgainstHighPrecisionOracle:
@@ -111,11 +111,10 @@ class TestScenarioConfig:
             make()
 
     def test_rectangles(self):
-        assert method_rectangle("bernoulli") == ((0.0, 1.0), (0.0, 1.0))
-        assert method_rectangle("gaussian") == ((0.0, 3.0), (0.0, 6.0))
-        assert method_rectangle("pmle") == ((0.0, 15000.0), (0.0, 15000.0))
-        with pytest.raises(ConfigError):
-            method_rectangle("ridge")
+        assert RECTANGLES == {"bernoulli": ((0.0, 1.0), (0.0, 1.0)),
+                              "gaussian": ((0.0, 3.0), (0.0, 6.0)),
+                              "pmle": ((0.0, 15000.0), (0.0, 15000.0))}
+        assert METHODS == ("bernoulli", "gaussian", "pmle")
 
 
 class TestGenerateDataset:
@@ -188,6 +187,14 @@ class TestRunScenario:
         assert len(result.grid) == 501
         for row in result.rows:
             assert row[0] == "gaussian" and row[1] == 1 and row[3] == "bernoulli"
+
+    def test_unknown_method_is_a_config_error(self):
+        cfg = ScenarioConfig(family="gaussian", n=40, replicates=1, cv_samples=1,
+                             cv_folds=2, optim=self.FAST)
+        with pytest.raises(ConfigError, match="'ridge'"):
+            run_scenario(cfg, ["ridge"])
+        with pytest.raises(ConfigError, match="'ridge'"):
+            run_scenario(cfg, ["bernoulli", "ridge"])
 
     def test_deterministic_tables(self):
         cfg = ScenarioConfig(family="gaussian", disp_index=2, n=80,

@@ -105,7 +105,8 @@ class TestRandomSearchCv:
     def test_unknown_method(self):
         spec, y = small_problem()
         plan = CvPlan(rect=((0.0, 1.0), (0.0, 1.0)), n_samples=1, n_folds=2, seed=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"'lasso'; choose from \('bernoulli', "
+                                              r"'gaussian', 'pmle'\)"):
             random_search_cv(spec, y, "lasso", plan, FAST)
 
     def test_diverged_fit_scores_minus_infinity(self):
